@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use lsdf_dfs::{Dfs, DfsError, StagedFile};
+use lsdf_dfs::{Dfs, DfsError, FileMeta, StagedFile};
 use lsdf_obs::TraceCtx;
 use lsdf_storage::{Hsm, HsmError, ObjectStore, Payload, StoreError};
 
@@ -144,59 +144,31 @@ impl From<HsmError> for BackendError {
 /// [`BackendError::is_transient`]) instead of guessing from sentinel
 /// values. Implementations must be `Send + Sync`: the ADAL shares one
 /// backend handle across mounts and sim callbacks.
+///
+/// Every operation takes the caller's trace context first. Backends
+/// that can attribute internal work to a causal trace (DFS block
+/// placement, HSM tape staging, chaos fault injection) attach child
+/// spans/events to it; the rest ignore it. [`TraceCtx::disabled`] is
+/// the untraced case and costs one `Option` check.
 pub trait StorageBackend: Send + Sync {
     /// Backend kind label (for reporting).
     fn kind(&self) -> &'static str;
     /// Stores `data` under `key` (write-once). The payload handle is a
     /// refcounted view — implementations must not copy the bytes on the
     /// success path, and a memoized digest travels with the handle.
-    fn put(&self, key: &str, data: Payload) -> Result<(), BackendError>;
+    fn put(&self, ctx: &TraceCtx, key: &str, data: Payload) -> Result<(), BackendError>;
     /// Fetches the payload under `key`.
-    fn get(&self, key: &str) -> Result<Payload, BackendError>;
+    fn get(&self, ctx: &TraceCtx, key: &str) -> Result<Payload, BackendError>;
     /// Metadata for `key`.
-    fn stat(&self, key: &str) -> Result<EntryMeta, BackendError>;
+    fn stat(&self, ctx: &TraceCtx, key: &str) -> Result<EntryMeta, BackendError>;
     /// Deletes `key` (lifecycle management).
-    fn delete(&self, key: &str) -> Result<(), BackendError>;
+    fn delete(&self, ctx: &TraceCtx, key: &str) -> Result<(), BackendError>;
     /// Keys under `prefix`, sorted. Backend failures surface as errors
     /// rather than being swallowed into an empty listing.
-    fn list(&self, prefix: &str) -> Result<Vec<EntryMeta>, BackendError>;
+    fn list(&self, ctx: &TraceCtx, prefix: &str) -> Result<Vec<EntryMeta>, BackendError>;
     /// True when `key` exists.
-    fn exists(&self, key: &str) -> bool {
-        self.stat(key).is_ok()
-    }
-
-    // --- traced variants ------------------------------------------------
-    //
-    // Backends that can attribute internal work to a causal trace (DFS
-    // block placement, HSM tape staging, chaos fault injection)
-    // override these to attach child spans/events to `ctx`. The
-    // defaults ignore the ctx and delegate, so plain backends keep
-    // working and untraced call paths (a disabled ctx) cost nothing.
-
-    /// Traced [`StorageBackend::put`].
-    fn put_traced(&self, ctx: &TraceCtx, key: &str, data: Payload) -> Result<(), BackendError> {
-        let _ = ctx;
-        self.put(key, data)
-    }
-    /// Traced [`StorageBackend::get`].
-    fn get_traced(&self, ctx: &TraceCtx, key: &str) -> Result<Payload, BackendError> {
-        let _ = ctx;
-        self.get(key)
-    }
-    /// Traced [`StorageBackend::stat`].
-    fn stat_traced(&self, ctx: &TraceCtx, key: &str) -> Result<EntryMeta, BackendError> {
-        let _ = ctx;
-        self.stat(key)
-    }
-    /// Traced [`StorageBackend::delete`].
-    fn delete_traced(&self, ctx: &TraceCtx, key: &str) -> Result<(), BackendError> {
-        let _ = ctx;
-        self.delete(key)
-    }
-    /// Traced [`StorageBackend::list`].
-    fn list_traced(&self, ctx: &TraceCtx, prefix: &str) -> Result<Vec<EntryMeta>, BackendError> {
-        let _ = ctx;
-        self.list(prefix)
+    fn exists(&self, ctx: &TraceCtx, key: &str) -> bool {
+        self.stat(ctx, key).is_ok()
     }
 
     // --- batched staged puts --------------------------------------------
@@ -209,26 +181,26 @@ pub trait StorageBackend: Send + Sync {
 
     /// Stages a put, deferring any commit step that serialises on
     /// shared metadata. Default: commits immediately via
-    /// [`StorageBackend::put_traced`].
-    fn stage_put_traced(
+    /// [`StorageBackend::put`].
+    fn stage_put(
         &self,
         ctx: &TraceCtx,
         key: &str,
         data: Payload,
     ) -> Result<StagedPut, BackendError> {
-        self.put_traced(ctx, key, data).map(|()| StagedPut::Committed)
+        self.put(ctx, key, data).map(|()| StagedPut::Committed)
     }
 
     /// Commits a batch of staged puts; results are in batch order. A
     /// staged put is only durable/acknowledgeable once this returns Ok
     /// for it. Default: everything was already committed at stage time.
-    fn commit_staged_traced(&self, staged: Vec<StagedPut>) -> Vec<Result<(), BackendError>> {
+    fn commit_staged(&self, staged: Vec<StagedPut>) -> Vec<Result<(), BackendError>> {
         staged.into_iter().map(|_| Ok(())).collect()
     }
 }
 
-/// A put staged by [`StorageBackend::stage_put_traced`], awaiting
-/// [`StorageBackend::commit_staged_traced`].
+/// A put staged by [`StorageBackend::stage_put`], awaiting
+/// [`StorageBackend::commit_staged`].
 pub enum StagedPut {
     /// The backend has no staged protocol; the put already committed.
     Committed,
@@ -253,25 +225,25 @@ impl StorageBackend for ObjectStoreBackend {
     fn kind(&self) -> &'static str {
         "object-store"
     }
-    fn put(&self, key: &str, data: Payload) -> Result<(), BackendError> {
+    fn put(&self, _: &TraceCtx, key: &str, data: Payload) -> Result<(), BackendError> {
         self.store.put(key, data)?;
         Ok(())
     }
-    fn get(&self, key: &str) -> Result<Payload, BackendError> {
+    fn get(&self, _: &TraceCtx, key: &str) -> Result<Payload, BackendError> {
         Ok(self.store.get(key)?)
     }
-    fn stat(&self, key: &str) -> Result<EntryMeta, BackendError> {
+    fn stat(&self, _: &TraceCtx, key: &str) -> Result<EntryMeta, BackendError> {
         let m = self.store.stat(key)?;
         Ok(EntryMeta {
             key: m.key,
             size: m.size,
         })
     }
-    fn delete(&self, key: &str) -> Result<(), BackendError> {
+    fn delete(&self, _: &TraceCtx, key: &str) -> Result<(), BackendError> {
         self.store.delete(key)?;
         Ok(())
     }
-    fn list(&self, prefix: &str) -> Result<Vec<EntryMeta>, BackendError> {
+    fn list(&self, _: &TraceCtx, prefix: &str) -> Result<Vec<EntryMeta>, BackendError> {
         Ok(self
             .store
             .list(prefix)
@@ -284,15 +256,41 @@ impl StorageBackend for ObjectStoreBackend {
     }
 }
 
-/// Adapter: the distributed filesystem (Hadoop-style).
+/// The DFS path holding `key` of `project`. Every DFS-backed project
+/// shares one namenode, so each is rooted at its own `<project>/`
+/// directory; MapReduce jobs over a tenant's files address them by this
+/// path.
+pub fn dfs_path(project: &str, key: &str) -> String {
+    format!("{project}/{key}")
+}
+
+/// Adapter: the distributed filesystem (Hadoop-style), serving one
+/// project's keys under its [`dfs_path`] root. `stat` and `list` report
+/// keys relative to that root.
 pub struct DfsBackend {
     dfs: Arc<Dfs>,
+    root: String,
 }
 
 impl DfsBackend {
-    /// Wraps a DFS.
-    pub fn new(dfs: Arc<Dfs>) -> Self {
-        DfsBackend { dfs }
+    /// Wraps a DFS, rooting every key at `<project>/`.
+    pub fn new(dfs: Arc<Dfs>, project: &str) -> Self {
+        DfsBackend {
+            dfs,
+            root: dfs_path(project, ""),
+        }
+    }
+
+    fn path(&self, key: &str) -> String {
+        format!("{}{key}", self.root)
+    }
+
+    fn entry(&self, m: FileMeta) -> EntryMeta {
+        let key = match m.path.strip_prefix(&self.root) {
+            Some(k) => k.to_string(),
+            None => m.path,
+        };
+        EntryMeta { key, size: m.size }
     }
 }
 
@@ -300,54 +298,40 @@ impl StorageBackend for DfsBackend {
     fn kind(&self) -> &'static str {
         "dfs"
     }
-    fn put(&self, key: &str, data: Payload) -> Result<(), BackendError> {
+    fn put(&self, ctx: &TraceCtx, key: &str, data: Payload) -> Result<(), BackendError> {
         self.dfs
-            .write_payload_traced(key, &data, None, &TraceCtx::disabled())?;
+            .write_payload_traced(&self.path(key), &data, None, ctx)?;
         Ok(())
     }
-    fn get(&self, key: &str) -> Result<Payload, BackendError> {
-        Ok(Payload::new(self.dfs.read(key, None)?))
+    fn get(&self, ctx: &TraceCtx, key: &str) -> Result<Payload, BackendError> {
+        Ok(Payload::new(self.dfs.read_traced(&self.path(key), None, ctx)?))
     }
-    fn stat(&self, key: &str) -> Result<EntryMeta, BackendError> {
-        let m = self.dfs.stat(key)?;
-        Ok(EntryMeta {
-            key: m.path,
-            size: m.size,
-        })
+    fn stat(&self, _: &TraceCtx, key: &str) -> Result<EntryMeta, BackendError> {
+        Ok(self.entry(self.dfs.stat(&self.path(key))?))
     }
-    fn delete(&self, key: &str) -> Result<(), BackendError> {
-        self.dfs.delete(key)?;
+    fn delete(&self, _: &TraceCtx, key: &str) -> Result<(), BackendError> {
+        self.dfs.delete(&self.path(key))?;
         Ok(())
     }
-    fn list(&self, prefix: &str) -> Result<Vec<EntryMeta>, BackendError> {
+    fn list(&self, _: &TraceCtx, prefix: &str) -> Result<Vec<EntryMeta>, BackendError> {
         Ok(self
             .dfs
-            .list(prefix)
+            .list(&self.path(prefix))
             .into_iter()
-            .map(|m| EntryMeta {
-                key: m.path,
-                size: m.size,
-            })
+            .map(|m| self.entry(m))
             .collect())
     }
-    fn put_traced(&self, ctx: &TraceCtx, key: &str, data: Payload) -> Result<(), BackendError> {
-        self.dfs.write_payload_traced(key, &data, None, ctx)?;
-        Ok(())
-    }
-    fn get_traced(&self, ctx: &TraceCtx, key: &str) -> Result<Payload, BackendError> {
-        Ok(Payload::new(self.dfs.read_traced(key, None, ctx)?))
-    }
-    fn stage_put_traced(
+    fn stage_put(
         &self,
         ctx: &TraceCtx,
         key: &str,
         data: Payload,
     ) -> Result<StagedPut, BackendError> {
         Ok(StagedPut::Dfs(
-            self.dfs.stage_write_traced(key, &data, None, ctx)?,
+            self.dfs.stage_write_traced(&self.path(key), &data, None, ctx)?,
         ))
     }
-    fn commit_staged_traced(&self, staged: Vec<StagedPut>) -> Vec<Result<(), BackendError>> {
+    fn commit_staged(&self, staged: Vec<StagedPut>) -> Vec<Result<(), BackendError>> {
         // Batch every DFS staged file into one namenode commit,
         // preserving batch order in the results.
         let mut results: Vec<Option<Result<(), BackendError>>> =
@@ -386,14 +370,14 @@ impl StorageBackend for HsmBackend {
     fn kind(&self) -> &'static str {
         "hsm"
     }
-    fn put(&self, key: &str, data: Payload) -> Result<(), BackendError> {
+    fn put(&self, _: &TraceCtx, key: &str, data: Payload) -> Result<(), BackendError> {
         self.hsm.put(key, data)?;
         Ok(())
     }
-    fn get(&self, key: &str) -> Result<Payload, BackendError> {
-        Ok(self.hsm.get(key)?)
+    fn get(&self, ctx: &TraceCtx, key: &str) -> Result<Payload, BackendError> {
+        Ok(self.hsm.get_traced(key, ctx)?)
     }
-    fn stat(&self, key: &str) -> Result<EntryMeta, BackendError> {
+    fn stat(&self, _: &TraceCtx, key: &str) -> Result<EntryMeta, BackendError> {
         let entries = self.hsm.catalog();
         entries
             .iter()
@@ -404,11 +388,11 @@ impl StorageBackend for HsmBackend {
             })
             .ok_or_else(|| BackendError::NotFound(key.to_string()))
     }
-    fn delete(&self, key: &str) -> Result<(), BackendError> {
+    fn delete(&self, _: &TraceCtx, key: &str) -> Result<(), BackendError> {
         self.hsm.delete(key)?;
         Ok(())
     }
-    fn list(&self, prefix: &str) -> Result<Vec<EntryMeta>, BackendError> {
+    fn list(&self, _: &TraceCtx, prefix: &str) -> Result<Vec<EntryMeta>, BackendError> {
         let mut out: Vec<EntryMeta> = self
             .hsm
             .catalog()
@@ -421,9 +405,6 @@ impl StorageBackend for HsmBackend {
             .collect();
         out.sort_by(|a, b| a.key.cmp(&b.key));
         Ok(out)
-    }
-    fn get_traced(&self, ctx: &TraceCtx, key: &str) -> Result<Payload, BackendError> {
-        Ok(self.hsm.get_traced(key, ctx)?)
     }
 }
 
@@ -453,50 +434,52 @@ mod tests {
         let hsm = Arc::new(Hsm::new(disk, tape, 0.5, 0.8, MigrationPolicy::OldestFirst));
         vec![
             Box::new(ObjectStoreBackend::new(obj)),
-            Box::new(DfsBackend::new(dfs)),
+            Box::new(DfsBackend::new(dfs, "proj")),
             Box::new(HsmBackend::new(hsm)),
         ]
     }
 
     #[test]
     fn all_backends_satisfy_the_contract() {
+        let ctx = &TraceCtx::disabled();
         for b in backends() {
             let kind = b.kind();
             // put / exists / get / stat
-            b.put("a/x", payload("hello")).unwrap();
-            assert!(b.exists("a/x"), "{kind}");
-            assert_eq!(b.get("a/x").unwrap(), payload("hello"), "{kind}");
-            let m = b.stat("a/x").unwrap();
-            assert_eq!(m.size, 5, "{kind}");
+            b.put(ctx, "a/x", payload("hello")).unwrap();
+            assert!(b.exists(ctx, "a/x"), "{kind}");
+            assert_eq!(b.get(ctx, "a/x").unwrap(), payload("hello"), "{kind}");
+            let m = b.stat(ctx, "a/x").unwrap();
+            assert_eq!((m.key.as_str(), m.size), ("a/x", 5), "{kind}");
             // write-once
             assert!(
-                matches!(b.put("a/x", payload("v2")), Err(BackendError::AlreadyExists(_))),
+                matches!(b.put(ctx, "a/x", payload("v2")), Err(BackendError::AlreadyExists(_))),
                 "{kind} must be write-once"
             );
             // list
-            b.put("a/y", payload("1")).unwrap();
-            b.put("b/z", payload("2")).unwrap();
+            b.put(ctx, "a/y", payload("1")).unwrap();
+            b.put(ctx, "b/z", payload("2")).unwrap();
             let keys: Vec<String> = b
-                .list("a/")
+                .list(ctx, "a/")
                 .unwrap()
                 .into_iter()
                 .map(|m| m.key)
                 .collect();
             assert_eq!(keys, vec!["a/x", "a/y"], "{kind}");
             // missing keys
-            assert!(matches!(b.get("nope"), Err(BackendError::NotFound(_))), "{kind}");
-            assert!(!b.exists("nope"), "{kind}");
+            assert!(matches!(b.get(ctx, "nope"), Err(BackendError::NotFound(_))), "{kind}");
+            assert!(!b.exists(ctx, "nope"), "{kind}");
         }
     }
 
     #[test]
     fn every_backend_supports_delete() {
+        let ctx = &TraceCtx::disabled();
         for b in backends() {
-            b.put("k", payload("v")).unwrap();
-            b.delete("k").unwrap();
-            assert!(!b.exists("k"), "{}", b.kind());
+            b.put(ctx, "k", payload("v")).unwrap();
+            b.delete(ctx, "k").unwrap();
+            assert!(!b.exists(ctx, "k"), "{}", b.kind());
             assert!(
-                matches!(b.delete("k"), Err(BackendError::NotFound(_))),
+                matches!(b.delete(ctx, "k"), Err(BackendError::NotFound(_))),
                 "{} double delete",
                 b.kind()
             );
@@ -505,14 +488,14 @@ mod tests {
 
     #[test]
     fn staged_puts_commit_in_one_batch_on_every_backend() {
-        let ctx = TraceCtx::disabled();
+        let ctx = &TraceCtx::disabled();
         for b in backends() {
-            let s1 = b.stage_put_traced(&ctx, "s/1", payload("a")).unwrap();
-            let s2 = b.stage_put_traced(&ctx, "s/2", payload("b")).unwrap();
-            let results = b.commit_staged_traced(vec![s1, s2]);
+            let s1 = b.stage_put(ctx, "s/1", payload("a")).unwrap();
+            let s2 = b.stage_put(ctx, "s/2", payload("b")).unwrap();
+            let results = b.commit_staged(vec![s1, s2]);
             assert!(results.iter().all(|r| r.is_ok()), "{}", b.kind());
-            assert_eq!(b.get("s/1").unwrap(), payload("a"), "{}", b.kind());
-            assert_eq!(b.get("s/2").unwrap(), payload("b"), "{}", b.kind());
+            assert_eq!(b.get(ctx, "s/1").unwrap(), payload("a"), "{}", b.kind());
+            assert_eq!(b.get(ctx, "s/2").unwrap(), payload("b"), "{}", b.kind());
         }
     }
 
@@ -526,17 +509,17 @@ mod tests {
                 ..DfsConfig::default()
             },
         ));
-        let b = DfsBackend::new(dfs);
-        let ctx = TraceCtx::disabled();
+        let b = DfsBackend::new(dfs, "proj");
+        let ctx = &TraceCtx::disabled();
         // Both stages pass the optimistic namespace check; the batched
         // commit's re-check under the write lock catches the duplicate
         // and rolls back the loser's blocks.
-        let s1 = b.stage_put_traced(&ctx, "dup", payload("one")).unwrap();
-        let s2 = b.stage_put_traced(&ctx, "dup", payload("two")).unwrap();
-        let r = b.commit_staged_traced(vec![s1, s2]);
+        let s1 = b.stage_put(ctx, "dup", payload("one")).unwrap();
+        let s2 = b.stage_put(ctx, "dup", payload("two")).unwrap();
+        let r = b.commit_staged(vec![s1, s2]);
         assert!(r[0].is_ok());
         assert!(matches!(&r[1], Err(BackendError::AlreadyExists(_))));
-        assert_eq!(b.get("dup").unwrap(), payload("one"));
+        assert_eq!(b.get(ctx, "dup").unwrap(), payload("one"));
     }
 
     #[test]

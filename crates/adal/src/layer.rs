@@ -4,9 +4,11 @@
 //! Accounting goes through the `lsdf-obs` registry: each operation
 //! bumps `adal_ops_total{op=..}` (plus a per-project
 //! `adal_project_ops_total{project=..,op=..}` breakdown) and records
-//! its latency into `adal_op_latency_ns{op=..}`. The historical
-//! [`AdalCounters`] struct remains as a compatibility view computed
-//! from the registry counters.
+//! its latency into `adal_op_latency_ns{op=..}`.
+//!
+//! Each operation has one code path: a single put is a staged put of
+//! one committed as a batch of one, and every backend call carries the
+//! operation's trace context (disabled when no tracer is attached).
 //!
 //! Projects mounted with [`Adal::mount_resilient`] additionally get the
 //! failure handling a 24/7 ingest facility needs:
@@ -87,23 +89,6 @@ impl From<BackendError> for AdalError {
     fn from(e: BackendError) -> Self {
         AdalError::Backend(e)
     }
-}
-
-/// Operation counters (the E9 overhead accounting).
-///
-/// Compatibility view over the obs registry: `puts`/`gets` mirror
-/// `adal_ops_total{op=put|get}`, `metas` is the sum of the `stat` and
-/// `list` ops, `denied` mirrors `adal_denied_total`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct AdalCounters {
-    /// `put` calls served.
-    pub puts: u64,
-    /// `get` calls served.
-    pub gets: u64,
-    /// `stat`/`list`/`exists` calls served.
-    pub metas: u64,
-    /// Requests rejected by auth.
-    pub denied: u64,
 }
 
 /// The operation kinds [`Adal::classify`] understands — the same set
@@ -351,15 +336,15 @@ impl ResilientState {
         data: &Payload,
     ) -> Result<(), BackendError> {
         // lint: allow(payload_copy) -- Payload handle clone: refcount bump
-        backend.put_traced(ctx, key, data.clone())?;
+        backend.put(ctx, key, data.clone())?;
         if !self.verify_writes {
             return Ok(());
         }
-        match backend.get_traced(ctx, key) {
+        match backend.get(ctx, key) {
             Ok(back) if back.content_eq(data) => Ok(()),
             Ok(_) => {
                 self.metrics.verify_failures.inc();
-                let _ = backend.delete_traced(ctx, key);
+                let _ = backend.delete(ctx, key);
                 Err(BackendError::Integrity(format!(
                     "write verification failed for '{key}'"
                 )))
@@ -367,7 +352,7 @@ impl ResilientState {
             Err(e) => {
                 // Could not read our own write back: clean up and let the
                 // retry loop redo the transfer.
-                let _ = backend.delete_traced(ctx, key);
+                let _ = backend.delete(ctx, key);
                 if e.is_transient() {
                     Err(e)
                 } else {
@@ -382,10 +367,10 @@ impl ResilientState {
     /// Best-effort copy of a successful write onto the replica. The
     /// clone is a refcount bump sharing one payload handle (and its
     /// memoized digest) with the primary copy.
-    fn replicate(&self, key: &str, data: &Payload) {
+    fn replicate(&self, ctx: &TraceCtx, key: &str, data: &Payload) {
         if let Some(rep) = &self.replica {
             // lint: allow(payload_copy) -- Payload handle clone: refcount bump
-            if rep.put(key, data.clone()).is_err() {
+            if rep.put(ctx, key, data.clone()).is_err() {
                 self.metrics.replica_write_failures.inc();
             }
         }
@@ -640,69 +625,21 @@ impl Adal {
         }
     }
 
-    /// Stores an object at `lsdf://project/key`. On a resilient mount
-    /// the write is retried through transient faults, verified against
-    /// torn writes, and — when the backend is down — acknowledged into
-    /// the redo journal for later draining.
+    /// Stores an object at `lsdf://project/key`: a staged put of one,
+    /// committed as a batch of one. On a resilient mount the write is
+    /// retried through transient faults, verified against torn writes,
+    /// and — when the backend is down — acknowledged into the redo
+    /// journal for later draining.
     pub fn put(
         &self,
         cred: &Credential,
         path: &str,
         data: impl Into<Payload>,
     ) -> Result<(), AdalError> {
-        let trace = self.trace_root(names::ADAL_PUT_SPAN, path);
-        self.put_with_trace(trace, cred, path, data.into())
-    }
-
-    /// [`Adal::put`] attached to a live parent trace (e.g. a pool task
-    /// inside a batch ingest): the operation becomes a child span of
-    /// `parent` instead of minting a new root. With a disabled parent
-    /// this behaves exactly like [`Adal::put`].
-    pub fn put_traced(
-        &self,
-        parent: &TraceCtx,
-        cred: &Credential,
-        path: &str,
-        data: impl Into<Payload>,
-    ) -> Result<(), AdalError> {
-        let trace = if parent.is_enabled() {
-            let t = parent.child(names::ADAL_PUT_SPAN);
-            t.add_field("path", path);
-            t
-        } else {
-            self.trace_root(names::ADAL_PUT_SPAN, path)
-        };
-        self.put_with_trace(trace, cred, path, data.into())
-    }
-
-    fn put_with_trace(
-        &self,
-        trace: TraceCtx,
-        cred: &Credential,
-        path: &str,
-        data: Payload,
-    ) -> Result<(), AdalError> {
-        let span = self.obs.span(&self.ops.put_latency);
-        let (mount, parsed) = self.resolve(cred, path, Access::Write)?;
-        let len = data.len() as u64;
-        match &mount.resilience {
-            Some(st) => self.resilient_put(
-                &trace,
-                st,
-                &mount.backend,
-                &parsed.project,
-                &parsed.key,
-                data,
-            )?,
-            None => mount.backend.put_traced(&trace, &parsed.key, data)?,
-        }
-        self.ops.puts.inc();
-        self.ops.put_bytes.record(len);
-        self.project_op(&parsed.project, mount.backend.kind(), "put");
-        let dt = span.finish();
-        self.project_op_latency(&parsed.project, dt);
-        trace.finish();
-        Ok(())
+        let pending = self.put_stage_traced(&TraceCtx::disabled(), cred, path, data)?;
+        self.commit_staged(vec![pending])
+            .pop()
+            .unwrap_or(Ok(()))
     }
 
     /// Stages a put for a later batched commit: resolution, admission
@@ -743,7 +680,7 @@ impl Adal {
                 )?;
                 None
             }
-            None => Some(mount.backend.stage_put_traced(&trace, &parsed.key, data)?),
+            None => Some(mount.backend.stage_put(&trace, &parsed.key, data)?),
         };
         trace.finish();
         Ok(PendingPut {
@@ -785,7 +722,7 @@ impl Adal {
             finalize.push((p.project, p.kind, p.len, p.span));
         }
         for (backend, idxs, batch) in groups {
-            for (i, r) in idxs.into_iter().zip(backend.commit_staged_traced(batch)) {
+            for (i, r) in idxs.into_iter().zip(backend.commit_staged(batch)) {
                 outcomes[i] = Some(r);
             }
         }
@@ -813,33 +750,6 @@ impl Adal {
     /// retried, and an open breaker fails the read over to the replica.
     pub fn get(&self, cred: &Credential, path: &str) -> Result<Bytes, AdalError> {
         let trace = self.trace_root(names::ADAL_GET_SPAN, path);
-        self.get_with_trace(trace, cred, path)
-    }
-
-    /// [`Adal::get`] attached to a live parent trace; see
-    /// [`Adal::put_traced`] for the nesting rules.
-    pub fn get_traced(
-        &self,
-        parent: &TraceCtx,
-        cred: &Credential,
-        path: &str,
-    ) -> Result<Bytes, AdalError> {
-        let trace = if parent.is_enabled() {
-            let t = parent.child(names::ADAL_GET_SPAN);
-            t.add_field("path", path);
-            t
-        } else {
-            self.trace_root(names::ADAL_GET_SPAN, path)
-        };
-        self.get_with_trace(trace, cred, path)
-    }
-
-    fn get_with_trace(
-        &self,
-        trace: TraceCtx,
-        cred: &Credential,
-        path: &str,
-    ) -> Result<Bytes, AdalError> {
         let span = self.obs.span(&self.ops.get_latency);
         let (mount, parsed) = self.resolve(cred, path, Access::Read)?;
         let data = match &mount.resilience {
@@ -850,7 +760,7 @@ impl Adal {
                 &parsed.project,
                 &parsed.key,
             )?,
-            None => mount.backend.get_traced(&trace, &parsed.key)?,
+            None => mount.backend.get(&trace, &parsed.key)?,
         }
         .into_bytes();
         self.ops.gets.inc();
@@ -875,7 +785,7 @@ impl Adal {
                 &parsed.project,
                 &parsed.key,
             )?,
-            None => mount.backend.stat_traced(&trace, &parsed.key)?,
+            None => mount.backend.stat(&trace, &parsed.key)?,
         };
         self.ops.stats.inc();
         self.project_op(&parsed.project, mount.backend.kind(), "stat");
@@ -902,7 +812,7 @@ impl Adal {
                 &parsed.project,
                 &parsed.key,
             )?,
-            None => mount.backend.list_traced(&trace, &parsed.key)?,
+            None => mount.backend.list(&trace, &parsed.key)?,
         };
         self.ops.lists.inc();
         self.project_op(&parsed.project, mount.backend.kind(), "list");
@@ -925,7 +835,7 @@ impl Adal {
                 &parsed.project,
                 &parsed.key,
             )?,
-            None => mount.backend.delete_traced(&trace, &parsed.key)?,
+            None => mount.backend.delete(&trace, &parsed.key)?,
         }
         self.ops.deletes.inc();
         self.project_op(&parsed.project, mount.backend.kind(), "delete");
@@ -978,7 +888,7 @@ impl Adal {
                     },
                     || {
                         // lint: allow(payload_copy) -- Payload handle clone: refcount bump
-                        let out = rep.put(key, data.clone());
+                        let out = rep.put(&replica_ctx, key, data.clone());
                         replica_ctx.finish();
                         out
                     },
@@ -992,7 +902,7 @@ impl Adal {
                     // replica-side write-once check cannot observe an
                     // unacknowledged write.
                     (Err(_), Ok(())) => {
-                        let _ = rep.delete(key);
+                        let _ = rep.delete(ctx, key);
                     }
                     _ => {}
                 }
@@ -1004,7 +914,7 @@ impl Adal {
                 });
                 primary_ctx.finish();
                 if out.is_ok() {
-                    st.replicate(key, &data);
+                    st.replicate(&replica_ctx, key, &data);
                 }
                 replica_ctx.finish();
                 out
@@ -1036,7 +946,7 @@ impl Adal {
         // replica holds a copy of every landed write: honour write-once
         // as far as it can be checked.
         if let Some(rep) = &st.replica {
-            if rep.exists(key) {
+            if rep.exists(ctx, key) {
                 return Err(BackendError::AlreadyExists(key.to_string()));
             }
         }
@@ -1072,7 +982,7 @@ impl Adal {
             return Ok(data);
         }
         if st.acquire(&self.obs, ctx, project) {
-            match st.with_retries(&self.obs, ctx, project, |actx| backend.get_traced(actx, key)) {
+            match st.with_retries(&self.obs, ctx, project, |actx| backend.get(actx, key)) {
                 Ok(data) => {
                     self.drain_step(ctx, st, backend, project);
                     return Ok(data);
@@ -1081,7 +991,7 @@ impl Adal {
                 Err(e) => return Err(e),
             }
         }
-        self.failover_read(ctx, st, project, key, |rep| rep.get(key))
+        self.failover_read(ctx, st, project, key, |rep| rep.get(ctx, key))
     }
 
     fn resilient_stat(
@@ -1099,13 +1009,13 @@ impl Adal {
             });
         }
         if st.acquire(&self.obs, ctx, project) {
-            match st.with_retries(&self.obs, ctx, project, |actx| backend.stat_traced(actx, key)) {
+            match st.with_retries(&self.obs, ctx, project, |actx| backend.stat(actx, key)) {
                 Ok(meta) => return Ok(meta),
                 Err(e) if e.is_transient() => {}
                 Err(e) => return Err(e),
             }
         }
-        self.failover_read(ctx, st, project, key, |rep| rep.stat(key))
+        self.failover_read(ctx, st, project, key, |rep| rep.stat(ctx, key))
     }
 
     fn resilient_list(
@@ -1117,17 +1027,15 @@ impl Adal {
         prefix: &str,
     ) -> Result<Vec<EntryMeta>, BackendError> {
         let landed = if st.acquire(&self.obs, ctx, project) {
-            match st.with_retries(&self.obs, ctx, project, |actx| {
-                backend.list_traced(actx, prefix)
-            }) {
+            match st.with_retries(&self.obs, ctx, project, |actx| backend.list(actx, prefix)) {
                 Ok(entries) => Ok(entries),
                 Err(e) if e.is_transient() => {
-                    self.failover_read(ctx, st, project, prefix, |rep| rep.list(prefix))
+                    self.failover_read(ctx, st, project, prefix, |rep| rep.list(ctx, prefix))
                 }
                 Err(e) => Err(e),
             }
         } else {
-            self.failover_read(ctx, st, project, prefix, |rep| rep.list(prefix))
+            self.failover_read(ctx, st, project, prefix, |rep| rep.list(ctx, prefix))
         }?;
         // Merge acknowledged journal entries; the journal wins on key
         // collisions (it is the newer acknowledged state).
@@ -1163,12 +1071,10 @@ impl Adal {
                 "backend for '{project}' is cooling down (breaker open)"
             )));
         }
-        st.with_retries(&self.obs, ctx, project, |actx| {
-            backend.delete_traced(actx, key)
-        })?;
+        st.with_retries(&self.obs, ctx, project, |actx| backend.delete(actx, key))?;
         if let Some(rep) = &st.replica {
             // Best effort: the replica copy may or may not exist.
-            let _ = rep.delete(key);
+            let _ = rep.delete(ctx, key);
         }
         self.drain_step(ctx, st, backend, project);
         Ok(())
@@ -1224,7 +1130,7 @@ impl Adal {
                 Ok(()) => {
                     drained += 1;
                     st.metrics.journal_drained.inc();
-                    st.replicate(&key, &data);
+                    st.replicate(ctx, &key, &data);
                     self.obs
                         .event(names::ADAL_JOURNAL_DRAIN_LOG_EVENT, &[("project", project), ("key", &key)]);
                 }
@@ -1234,7 +1140,7 @@ impl Adal {
                     // journal holds the acknowledged write — repair the
                     // primary (covers torn residue left by a failed
                     // verify cleanup).
-                    match backend.get_traced(ctx, &key) {
+                    match backend.get(ctx, &key) {
                         Ok(existing) if existing.content_eq(&data) => {
                             drained += 1;
                             st.metrics.journal_drained.inc();
@@ -1245,14 +1151,14 @@ impl Adal {
                                 names::ADAL_JOURNAL_CONFLICT_LOG_EVENT,
                                 &[("project", project), ("key", &key)],
                             );
-                            let _ = backend.delete_traced(ctx, &key);
+                            let _ = backend.delete(ctx, &key);
                             match st.with_retries(&self.obs, ctx, project, |actx| {
                                 st.put_verified(actx, backend, &key, &data)
                             }) {
                                 Ok(()) => {
                                     drained += 1;
                                     st.metrics.journal_drained.inc();
-                                    st.replicate(&key, &data);
+                                    st.replicate(ctx, &key, &data);
                                 }
                                 Err(_) => {
                                     st.journal.requeue_front(key, data);
@@ -1346,16 +1252,6 @@ impl Adal {
             .into_iter()
             .filter_map(|p| self.health(&p))
             .collect()
-    }
-
-    /// Counter snapshot (compatibility view over the obs registry).
-    pub fn counters(&self) -> AdalCounters {
-        AdalCounters {
-            puts: self.ops.puts.get(),
-            gets: self.ops.gets.get(),
-            metas: self.ops.stats.get() + self.ops.lists.get(),
-            denied: self.ops.denied.get(),
-        }
     }
 }
 
@@ -1492,27 +1388,11 @@ mod tests {
         assert_eq!(meta.size, 2);
         let listed = adal.list(&cred, "lsdf://zebrafish/raw/").unwrap();
         assert_eq!(listed.len(), 1);
-        assert_eq!(
-            adal.counters(),
-            AdalCounters {
-                puts: 1,
-                gets: 1,
-                metas: 2,
-                denied: 0
-            }
-        );
-    }
-
-    #[test]
-    fn registry_mirrors_the_compat_counters() {
-        let (adal, cred) = setup();
-        adal.put(&cred, "lsdf://zebrafish/raw/i1", b("px")).unwrap();
-        adal.get(&cred, "lsdf://zebrafish/raw/i1").unwrap();
-        adal.stat(&cred, "lsdf://zebrafish/raw/i1").unwrap();
         let reg = adal.obs();
-        assert_eq!(reg.counter_value(names::ADAL_OPS_TOTAL, &[("op", "put")]), 1);
-        assert_eq!(reg.counter_value(names::ADAL_OPS_TOTAL, &[("op", "get")]), 1);
-        assert_eq!(reg.counter_value(names::ADAL_OPS_TOTAL, &[("op", "stat")]), 1);
+        for op in ["put", "get", "stat", "list"] {
+            assert_eq!(reg.counter_value(names::ADAL_OPS_TOTAL, &[("op", op)]), 1, "{op}");
+        }
+        assert_eq!(reg.counter_value(names::ADAL_DENIED_TOTAL, &[]), 0);
         // Per-project breakdown carries the backend label.
         assert_eq!(
             reg.counter_value(
@@ -1559,7 +1439,7 @@ mod tests {
         let adal = Adal::builder().build();
         let r = adal.get(&Credential::Token("any".into()), "lsdf://p/x");
         assert!(matches!(r, Err(AdalError::Auth(_))));
-        assert_eq!(adal.counters().denied, 1);
+        assert_eq!(adal.obs().counter_value(names::ADAL_DENIED_TOTAL, &[]), 1);
     }
 
     #[test]
@@ -1567,7 +1447,7 @@ mod tests {
         let (adal, cred) = setup();
         let r = adal.put(&cred, "lsdf://katrin/run1", b("ev"));
         assert!(matches!(r, Err(AdalError::Auth(AuthError::Denied { .. }))));
-        assert_eq!(adal.counters().denied, 1);
+        assert_eq!(adal.obs().counter_value(names::ADAL_DENIED_TOTAL, &[]), 1);
     }
 
     #[test]
@@ -1658,7 +1538,7 @@ mod tests {
         fn kind(&self) -> &'static str {
             "scripted"
         }
-        fn put(&self, key: &str, data: Payload) -> Result<(), BackendError> {
+        fn put(&self, ctx: &TraceCtx, key: &str, data: Payload) -> Result<(), BackendError> {
             if self.trip(&self.fail_budget) {
                 return Err(BackendError::TransientIo(format!("scripted put '{key}'")));
             }
@@ -1668,37 +1548,37 @@ mod tests {
                 // fresh digest cell.
                 let mut torn = data.to_vec();
                 torn[0] ^= 0xff;
-                return self.inner.put(key, Payload::from(torn));
+                return self.inner.put(ctx, key, Payload::from(torn));
             }
-            self.inner.put(key, data)
+            self.inner.put(ctx, key, data)
         }
-        fn get(&self, key: &str) -> Result<Payload, BackendError> {
+        fn get(&self, ctx: &TraceCtx, key: &str) -> Result<Payload, BackendError> {
             if self.trip(&self.fail_budget) {
                 return Err(BackendError::TransientIo(format!("scripted get '{key}'")));
             }
-            self.inner.get(key)
+            self.inner.get(ctx, key)
         }
-        fn stat(&self, key: &str) -> Result<EntryMeta, BackendError> {
+        fn stat(&self, ctx: &TraceCtx, key: &str) -> Result<EntryMeta, BackendError> {
             if self.trip(&self.fail_budget) {
                 return Err(BackendError::TransientIo(format!("scripted stat '{key}'")));
             }
-            self.inner.stat(key)
+            self.inner.stat(ctx, key)
         }
-        fn delete(&self, key: &str) -> Result<(), BackendError> {
+        fn delete(&self, ctx: &TraceCtx, key: &str) -> Result<(), BackendError> {
             if self.trip(&self.fail_budget) {
                 return Err(BackendError::TransientIo(format!(
                     "scripted delete '{key}'"
                 )));
             }
-            self.inner.delete(key)
+            self.inner.delete(ctx, key)
         }
-        fn list(&self, prefix: &str) -> Result<Vec<EntryMeta>, BackendError> {
+        fn list(&self, ctx: &TraceCtx, prefix: &str) -> Result<Vec<EntryMeta>, BackendError> {
             if self.trip(&self.fail_budget) {
                 return Err(BackendError::TransientIo(format!(
                     "scripted list '{prefix}'"
                 )));
             }
-            self.inner.list(prefix)
+            self.inner.list(ctx, prefix)
         }
     }
 
@@ -1834,8 +1714,9 @@ mod tests {
         assert_eq!(h.breaker, BreakerState::Closed);
         assert_eq!(h.journal_depth, 0);
         // Journaled writes landed on the primary itself.
-        assert!(primary.inner.exists("b"));
-        assert!(primary.inner.exists("c"));
+        let ctx = &TraceCtx::disabled();
+        assert!(primary.inner.exists(ctx, "b"));
+        assert!(primary.inner.exists(ctx, "c"));
         assert_eq!(adal.get(&cred, "lsdf://anka/b").unwrap(), b("bb"));
     }
 
@@ -1885,7 +1766,7 @@ mod tests {
         primary.fail_next(0);
         adal.obs().set_virtual_time_ns(10_000);
         assert_eq!(adal.drain_journal("anka"), 0);
-        assert!(!primary.inner.exists("tmp"));
+        assert!(!primary.inner.exists(&TraceCtx::disabled(), "tmp"));
     }
 
     #[test]

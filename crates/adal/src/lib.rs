@@ -10,8 +10,8 @@
 //!   store, the DFS, and the HSM;
 //! * [`TokenAuth`] / [`Acl`] — pluggable authentication and per-project
 //!   authorization;
-//! * [`Adal`] — the mount registry tying it together, with operation
-//!   counters used by the overhead experiment (E9);
+//! * [`Adal`] — the mount registry tying it together, recording the
+//!   per-operation registry metrics used by the overhead experiment (E9);
 //! * [`RetryPolicy`] / [`CircuitBreaker`] / [`RedoJournal`] — the
 //!   resilience machinery behind [`Adal::mount_resilient`]: bounded
 //!   retries for transient faults, a per-backend breaker, replica
@@ -27,10 +27,10 @@ mod resilience;
 
 pub use auth::{Access, Acl, AuthError, AuthProvider, Credential, Principal, TokenAuth};
 pub use backend::{
-    BackendError, DfsBackend, EntryMeta, HsmBackend, ObjectStoreBackend, StagedPut,
+    dfs_path, BackendError, DfsBackend, EntryMeta, HsmBackend, ObjectStoreBackend, StagedPut,
     StorageBackend,
 };
-pub use layer::{Adal, AdalBuilder, AdalCounters, AdalError, OpKind, PendingPut, RequestClass};
+pub use layer::{Adal, AdalBuilder, AdalError, OpKind, PendingPut, RequestClass};
 pub use path::{LsdfPath, PathError};
 pub use resilience::{
     BreakerConfig, BreakerState, BreakerTransition, CircuitBreaker, HealthReport,

@@ -195,7 +195,9 @@ pub fn e13_hsm(quick: bool) -> ExpReport {
         hsm.run_migration().expect("migration");
     }
     let ingest_wall = t.elapsed().as_secs_f64();
-    let (demotions, _) = hsm.counters();
+    let demotions = hsm
+        .obs()
+        .counter_value(names::HSM_DEMOTIONS_TOTAL, &[("store", "disk")]);
     // Every archived day still readable (transparent recall).
     let t = Instant::now();
     let _ = hsm.get("daily/d0000").expect("recall");

@@ -77,7 +77,8 @@ impl ProjectSpec {
     /// retries, circuit breaker, replica failover reads and a redo
     /// journal (see [`Adal::mount_resilient`]). The replica should be
     /// an independent backend (a [`BackendChoice::Dfs`] replica shares
-    /// the facility-wide DFS namespace with any DFS primary).
+    /// the facility-wide DFS cluster with any DFS primary, under its own
+    /// `<project>-replica/` root).
     pub fn resilient(mut self, replica: BackendChoice, cfg: ResilienceConfig) -> Self {
         self.resilience = Some((replica, cfg));
         self
@@ -199,26 +200,6 @@ impl FacilityBuilder {
         self
     }
 
-    /// Adds a project with its metadata schema and backend choice.
-    #[deprecated(note = "use `tenant(ProjectSpec::new(schema, backend))`")]
-    pub fn project(self, schema: Schema, backend: BackendChoice) -> Self {
-        self.tenant(ProjectSpec::new(schema, backend))
-    }
-
-    /// Adds a project mounted through the full ADAL resilience stack.
-    #[deprecated(
-        note = "use `tenant(ProjectSpec::new(schema, primary).resilient(replica, cfg))`"
-    )]
-    pub fn resilient_project(
-        self,
-        schema: Schema,
-        primary: BackendChoice,
-        replica: BackendChoice,
-        cfg: ResilienceConfig,
-    ) -> Self {
-        self.tenant(ProjectSpec::new(schema, primary).resilient(replica, cfg))
-    }
-
     /// Overrides the compute-cluster shape.
     pub fn cluster(mut self, topology: ClusterTopology, config: DfsConfig) -> Self {
         self.cluster = topology;
@@ -336,9 +317,10 @@ impl Default for FacilityBuilder {
 }
 
 /// Constructs the storage backend for one mount. `name` keys the
-/// underlying stores (and the [`Facility::hsm`] lookup for HSM mounts);
-/// resilient replicas pass a suffixed name so their stores stay
-/// distinct from the primary's.
+/// underlying stores (and the [`Facility::hsm`] lookup for HSM mounts)
+/// and roots a DFS mount's keys in the shared namenode; resilient
+/// replicas pass a suffixed name so their stores stay distinct from
+/// the primary's.
 fn make_backend(
     name: &str,
     choice: BackendChoice,
@@ -370,7 +352,7 @@ fn make_backend(
             hsms.insert(name.to_string(), hsm.clone());
             Arc::new(HsmBackend::new(hsm))
         }
-        BackendChoice::Dfs => Arc::new(DfsBackend::new(dfs.clone())),
+        BackendChoice::Dfs => Arc::new(DfsBackend::new(dfs.clone(), name)),
     }
 }
 
@@ -861,28 +843,44 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_builder_shims_still_compile_and_run() {
+    fn dfs_tenants_keep_their_keys_apart() {
+        use crate::ingest::{IngestItem, IngestPolicy};
+        use lsdf_adal::{AdalError, BackendError};
+        let schema = |name: &str| {
+            SchemaBuilder::new(name)
+                .required("run", FieldType::Int)
+                .build()
+                .unwrap()
+        };
         let f = Facility::builder()
-            .project(
-                zebrafish_schema(),
-                BackendChoice::ObjectStore { capacity: u64::MAX },
-            )
-            .resilient_project(
-                katrin_schema(),
-                BackendChoice::ObjectStore { capacity: u64::MAX },
-                BackendChoice::ObjectStore { capacity: u64::MAX },
-                ResilienceConfig::default(),
-            )
+            .tenant(ProjectSpec::new(schema("alpha"), BackendChoice::Dfs))
+            .tenant(ProjectSpec::new(schema("beta"), BackendChoice::Dfs))
+            .cluster(ClusterTopology::new(2, 2), DfsConfig::default())
             .build()
             .unwrap();
-        assert_eq!(f.projects(), vec!["katrin", "zebrafish-htm"]);
-        // Shim-registered projects get an unlimited quota: never shed.
-        assert_eq!(
-            f.admission().quota("katrin"),
-            Some(QuotaSpec::unlimited())
-        );
-        assert!(f.adal().health("katrin").unwrap().has_replica);
+        let admin = f.admin().clone();
+        let ingest = |project: &str, key: &str, data: &'static [u8]| {
+            let item = IngestItem {
+                project: project.into(),
+                key: key.into(),
+                data: bytes::Bytes::from_static(data),
+                metadata: Some([("run".to_string(), lsdf_metadata::Value::Int(1))].into()),
+            };
+            f.ingest(&admin, item, IngestPolicy::default()).unwrap();
+        };
+        ingest("alpha", "shared", b"alpha bytes");
+        ingest("beta", "shared", b"beta bytes");
+        ingest("alpha", "alpha-only", b"secret");
+        let get = |cred: &Credential, path: &str| f.adal().get(cred, path);
+        assert_eq!(&get(&admin, "lsdf://alpha/shared").unwrap()[..], b"alpha bytes");
+        assert_eq!(&get(&admin, "lsdf://beta/shared").unwrap()[..], b"beta bytes");
+        f.register_user("btok", "bob");
+        f.grant("bob", "beta", false);
+        let bob = Credential::Token("btok".into());
+        assert!(matches!(
+            get(&bob, "lsdf://beta/alpha-only"),
+            Err(AdalError::Backend(BackendError::NotFound(_)))
+        ));
     }
 
     #[test]

@@ -29,23 +29,6 @@ pub(crate) struct ProjectIngestObs {
     bytes: Histogram,
 }
 
-impl ProjectIngestObs {
-    fn outcome(&self, o: Outcome) -> &Counter {
-        match o {
-            Outcome::Registered => &self.registered,
-            Outcome::StoredUnregistered => &self.stored_unregistered,
-            Outcome::Rejected => &self.rejected,
-        }
-    }
-}
-
-#[derive(Clone, Copy)]
-enum Outcome {
-    Registered,
-    StoredUnregistered,
-    Rejected,
-}
-
 /// Cached ingest metric handles: the registry maps are touched once
 /// per project at construction, never on the per-item hot path.
 pub(crate) struct IngestObs {
@@ -133,14 +116,14 @@ impl Default for IngestPolicy {
 /// One batch item staged through the ADAL, plus everything needed to
 /// finalize it (catalog entry, metrics, latency span) once the batched
 /// commit lands.
-struct StagedIngest {
+struct StagedIngest<'a> {
     pending: PendingPut,
-    fin: IngestFinalize,
+    fin: IngestFinalize<'a>,
 }
 
-struct IngestFinalize {
+struct IngestFinalize<'a> {
     store: Arc<ProjectStore>,
-    project: String,
+    pm: &'a ProjectIngestObs,
     key: String,
     location: String,
     size: u64,
@@ -160,7 +143,8 @@ impl Facility {
     ///
     /// The item passes the admission front door first: a project over
     /// its quota gets [`FacilityError::Admission`] with `retry_after_ns`
-    /// before any byte reaches storage.
+    /// before any byte reaches storage. It then runs the batch path's
+    /// stage and finalize steps as a batch of one.
     pub fn ingest(
         &self,
         cred: &Credential,
@@ -168,23 +152,28 @@ impl Facility {
         policy: IngestPolicy,
     ) -> Result<Option<DatasetId>, FacilityError> {
         self.admit_ingest(&item.project, item.data.len() as u64)?;
-        self.ingest_traced(&TraceCtx::disabled(), cred, item, policy)
+        let staged = self.ingest_stage_traced(&TraceCtx::disabled(), cred, item, policy);
+        match self.ingest_finalize(vec![staged]).pop() {
+            Some((result, _)) => result,
+            None => Ok(None),
+        }
     }
 
-    /// [`Facility::ingest`] with an explicit trace context: the ADAL
-    /// put (and everything below it — retries, breaker transitions,
-    /// DFS placement, HSM staging) attaches as children of `ctx`.
+    /// Stages one item: metadata validation, the single payload hash,
+    /// and ADAL staging (placement / resilient fan-out) happen here,
+    /// safely inside a pool worker; the metadata commit and catalog
+    /// insert wait for [`Facility::ingest_finalize`]. The ADAL put (and
+    /// everything below it — retries, breaker transitions, DFS
+    /// placement, HSM staging) attaches as children of `ctx`.
     ///
-    /// Admission is *not* checked here — callers either went through
-    /// [`Facility::ingest`] or the batch pre-pass, both of which admit
-    /// before this runs.
-    pub fn ingest_traced(
+    /// Admission is *not* checked here — callers admit first.
+    fn ingest_stage_traced(
         &self,
         ctx: &TraceCtx,
         cred: &Credential,
         item: IngestItem,
         policy: IngestPolicy,
-    ) -> Result<Option<DatasetId>, FacilityError> {
+    ) -> Result<StagedIngest<'_>, FacilityError> {
         let store = self.store(&item.project)?.clone();
         // Metric handles were cached at facility build: the hot path
         // only bumps atomics, never the registry maps.
@@ -193,33 +182,28 @@ impl Facility {
             .project(&item.project)
             .ok_or_else(|| FacilityError::UnknownProject(item.project.clone()))?;
         let span = self.obs().span(&self.ingest_obs().latency);
-        let outcome = |o: Outcome| pm.outcome(o).inc();
         // Validate metadata *before* the payload lands, so enforcement
         // never leaves orphan bytes.
         let doc = match &item.metadata {
             Some(doc) => match store.schema().validate(doc) {
                 Ok(()) => Some(doc.clone()),
-                Err(e) => {
-                    if policy.enforce_metadata {
-                        outcome(Outcome::Rejected);
-                        return Err(FacilityError::MetadataRequired {
-                            key: item.key,
-                            reason: e.to_string(),
-                        });
-                    }
-                    None
-                }
-            },
-            None => {
-                if policy.enforce_metadata {
-                    outcome(Outcome::Rejected);
+                Err(e) if policy.enforce_metadata => {
+                    pm.rejected.inc();
                     return Err(FacilityError::MetadataRequired {
                         key: item.key,
-                        reason: "no metadata supplied".to_string(),
+                        reason: e.to_string(),
                     });
                 }
-                None
+                Err(_) => None,
+            },
+            None if policy.enforce_metadata => {
+                pm.rejected.inc();
+                return Err(FacilityError::MetadataRequired {
+                    key: item.key,
+                    reason: "no metadata supplied".to_string(),
+                });
             }
+            None => None,
         };
         // One SHA-256 per acked payload: the memoized digest travels
         // with the handle, so the object store / replica reuse it.
@@ -227,84 +211,10 @@ impl Facility {
         let digest = data.digest();
         let location = format!("lsdf://{}/{}", item.project, item.key);
         let size = data.len() as u64;
-        if let Err(e) = self.adal().put_traced(ctx, cred, &location, data) {
-            outcome(Outcome::Rejected);
-            return Err(e.into());
-        }
-        pm.bytes.record(size);
-        let result = match doc {
-            Some(basic) => {
-                outcome(Outcome::Registered);
-                let id = store.insert(NewDataset {
-                    name: item.key,
-                    location,
-                    size_bytes: size,
-                    checksum_hex: digest.to_hex(),
-                    basic,
-                })?;
-                Ok(Some(id))
-            }
-            None => {
-                outcome(Outcome::StoredUnregistered);
-                Ok(None)
-            }
-        };
-        span.finish();
-        result
-    }
-
-    /// Stages one batch item: metadata validation, the single payload
-    /// hash, and ADAL staging (placement / resilient fan-out) happen
-    /// here, safely inside a pool worker; the metadata commit and
-    /// catalog insert wait for [`Facility::ingest_finalize`]. Failure
-    /// metrics are recorded exactly as on the eager path.
-    fn ingest_stage_traced(
-        &self,
-        ctx: &TraceCtx,
-        cred: &Credential,
-        item: IngestItem,
-        policy: IngestPolicy,
-    ) -> Result<StagedIngest, FacilityError> {
-        let store = self.store(&item.project)?.clone();
-        let pm = self
-            .ingest_obs()
-            .project(&item.project)
-            .ok_or_else(|| FacilityError::UnknownProject(item.project.clone()))?;
-        let span = self.obs().span(&self.ingest_obs().latency);
-        let doc = match &item.metadata {
-            Some(doc) => match store.schema().validate(doc) {
-                Ok(()) => Some(doc.clone()),
-                Err(e) => {
-                    if policy.enforce_metadata {
-                        pm.outcome(Outcome::Rejected).inc();
-                        return Err(FacilityError::MetadataRequired {
-                            key: item.key,
-                            reason: e.to_string(),
-                        });
-                    }
-                    None
-                }
-            },
-            None => {
-                if policy.enforce_metadata {
-                    pm.outcome(Outcome::Rejected).inc();
-                    return Err(FacilityError::MetadataRequired {
-                        key: item.key,
-                        reason: "no metadata supplied".to_string(),
-                    });
-                }
-                None
-            }
-        };
-        // The one hash per acked payload, memoized on the shared handle.
-        let data: Payload = item.data.into();
-        let digest = data.digest();
-        let location = format!("lsdf://{}/{}", item.project, item.key);
-        let size = data.len() as u64;
         let pending = match self.adal().put_stage_traced(ctx, cred, &location, data) {
             Ok(p) => p,
             Err(e) => {
-                pm.outcome(Outcome::Rejected).inc();
+                pm.rejected.inc();
                 return Err(e.into());
             }
         };
@@ -312,7 +222,7 @@ impl Facility {
             pending,
             fin: IngestFinalize {
                 store,
-                project: item.project,
+                pm,
                 key: item.key,
                 location,
                 size,
@@ -326,65 +236,61 @@ impl Facility {
     /// Commits a batch of staged items — one ADAL batched commit (one
     /// namenode lock, one WAL group commit for a DFS mount) — then
     /// finalizes catalog entries and metrics serially in submission
-    /// order. An item is acked (counted in the report) only after its
-    /// commit returned Ok.
+    /// order. Returns each item's outcome with the payload bytes it
+    /// landed. An item is counted `registered` only once its catalog
+    /// insert succeeded, and `rejected` when its commit or insert
+    /// failed; failures at stage time were counted there.
     fn ingest_finalize(
         &self,
-        staged: Vec<Result<StagedIngest, FacilityError>>,
-    ) -> Vec<(Outcome, u64)> {
-        let mut fins: Vec<Result<IngestFinalize, ()>> = Vec::with_capacity(staged.len());
+        staged: Vec<Result<StagedIngest<'_>, FacilityError>>,
+    ) -> Vec<(Result<Option<DatasetId>, FacilityError>, u64)> {
+        let mut fins = Vec::with_capacity(staged.len());
         let mut pendings = Vec::new();
         for r in staged {
-            match r {
-                Ok(s) => {
-                    pendings.push(s.pending);
-                    fins.push(Ok(s.fin));
-                }
-                Err(_) => fins.push(Err(())),
-            }
+            fins.push(r.map(|s| {
+                pendings.push(s.pending);
+                s.fin
+            }));
         }
         let mut commits = self.adal().commit_staged(pendings).into_iter();
         fins.into_iter()
             .map(|f| {
-                let Ok(fin) = f else {
-                    return (Outcome::Rejected, 0);
+                let fin = match f {
+                    Ok(fin) => fin,
+                    Err(e) => return (Err(e), 0),
                 };
-                let committed = matches!(commits.next(), Some(Ok(())));
-                let pm = self.ingest_obs().project(&fin.project);
-                if !committed {
-                    if let Some(pm) = pm {
-                        pm.outcome(Outcome::Rejected).inc();
-                    }
-                    return (Outcome::Rejected, 0);
+                let pm = fin.pm;
+                if let Some(Err(e)) = commits.next() {
+                    pm.rejected.inc();
+                    return (Err(e.into()), 0);
                 }
-                if let Some(pm) = pm {
-                    pm.bytes.record(fin.size);
-                }
-                let out = match fin.doc {
-                    Some(basic) => {
-                        if let Some(pm) = pm {
-                            pm.outcome(Outcome::Registered).inc();
-                        }
-                        match fin.store.insert(NewDataset {
+                let result = match fin.doc {
+                    Some(basic) => fin
+                        .store
+                        .insert(NewDataset {
                             name: fin.key,
                             location: fin.location,
                             size_bytes: fin.size,
                             checksum_hex: fin.checksum_hex,
                             basic,
-                        }) {
-                            Ok(_) => (Outcome::Registered, fin.size),
-                            Err(_) => (Outcome::Rejected, 0),
-                        }
-                    }
-                    None => {
-                        if let Some(pm) = pm {
-                            pm.outcome(Outcome::StoredUnregistered).inc();
-                        }
-                        (Outcome::StoredUnregistered, fin.size)
-                    }
+                        })
+                        .map(Some)
+                        .map_err(FacilityError::from),
+                    None => Ok(None),
+                };
+                match &result {
+                    Ok(Some(_)) => pm.registered.inc(),
+                    Ok(None) => pm.stored_unregistered.inc(),
+                    Err(_) => pm.rejected.inc(),
+                }
+                let landed = if result.is_ok() {
+                    pm.bytes.record(fin.size);
+                    fin.size
+                } else {
+                    0
                 };
                 fin.span.finish();
-                out
+                (result, landed)
             })
             .collect()
     }
@@ -457,18 +363,13 @@ impl Facility {
             shed,
             ..IngestReport::default()
         };
-        for (outcome, size) in outcomes {
+        for (outcome, bytes) in outcomes {
             match outcome {
-                Outcome::Registered => {
-                    report.registered += 1;
-                    report.bytes += size;
-                }
-                Outcome::StoredUnregistered => {
-                    report.stored_unregistered += 1;
-                    report.bytes += size;
-                }
-                Outcome::Rejected => report.rejected += 1,
+                Ok(Some(_)) => report.registered += 1,
+                Ok(None) => report.stored_unregistered += 1,
+                Err(_) => report.rejected += 1,
             }
+            report.bytes += bytes;
         }
         report
     }
@@ -614,7 +515,10 @@ mod tests {
         assert_eq!(bytes.sum(), report.bytes);
         assert_eq!(bytes.count(), report.registered);
         // Ingest flowed through the shared ADAL counters too.
-        assert_eq!(f.adal().counters().puts, report.registered);
+        assert_eq!(
+            reg.counter_value(names::ADAL_OPS_TOTAL, &[("op", "put")]),
+            report.registered
+        );
     }
 
     #[test]
@@ -713,5 +617,32 @@ mod tests {
             .unwrap();
         let r = f.ingest(&admin, one, IngestPolicy::default());
         assert!(matches!(r, Err(FacilityError::Adal(_))));
+    }
+
+    #[test]
+    fn outcomes_are_counted_after_the_catalog_insert() {
+        let f = facility();
+        let admin = f.admin().clone();
+        let one = items(1).swap_remove(0);
+        let path = format!("lsdf://zebrafish-htm/{}", one.key);
+        f.ingest(&admin, one.clone(), IngestPolicy::default())
+            .unwrap();
+        // Deleting the bytes leaves the catalog record behind, so the
+        // re-ingest stores the payload but its catalog insert fails.
+        f.adal().delete(&admin, &path).unwrap();
+        let report = f.ingest_batch(&admin, vec![one], IngestPolicy::default());
+        assert_eq!(report.rejected, 1);
+        assert_eq!(report.bytes, 0);
+        let reg = f.obs();
+        let count = |o| {
+            reg.counter_value(
+                names::FACILITY_INGEST_TOTAL,
+                &[("project", "zebrafish-htm"), ("outcome", o)],
+            )
+        };
+        assert_eq!(count("registered"), 1);
+        assert_eq!(count("rejected"), 1);
+        let bytes = reg.histogram(names::FACILITY_INGEST_BYTES, &[("project", "zebrafish-htm")]);
+        assert_eq!(bytes.count(), 1);
     }
 }

@@ -156,17 +156,6 @@ struct BlockInfo {
     replicas: Vec<DfsNodeId>,
 }
 
-/// Read-locality counters (experiments E4/E12).
-#[derive(Debug, Default)]
-pub struct LocalityStats {
-    /// Block reads served node-locally.
-    pub node_local: u64,
-    /// Block reads served rack-locally.
-    pub rack_local: u64,
-    /// Block reads served remotely.
-    pub remote: u64,
-}
-
 /// Registry handles for namenode-op and block-I/O accounting.
 struct DfsObs {
     registry: Arc<Registry>,
@@ -346,33 +335,23 @@ impl Dfs {
     /// Writes a file (write-once). `writer` is the node issuing the write,
     /// if it is part of the cluster — the first replica lands there.
     ///
-    /// Legacy `&[u8]` entry point: copies the slice into an owned
-    /// payload once. The zero-copy path is [`Dfs::write_payload_traced`].
+    /// `&[u8]` entry point: copies the slice into an owned payload once.
+    /// The zero-copy path is [`Dfs::write_payload_traced`].
     pub fn write(
         &self,
         path: &str,
         data: &[u8],
         writer: Option<DfsNodeId>,
     ) -> Result<FileMeta, DfsError> {
-        self.write_traced(path, data, writer, &TraceCtx::disabled())
-    }
-
-    /// [`Dfs::write`] attributed to a causal trace: a `dfs_write` child
-    /// span with one `dfs_block_placed` event per block recording the
-    /// block id and how many replicas landed.
-    pub fn write_traced(
-        &self,
-        path: &str,
-        data: &[u8],
-        writer: Option<DfsNodeId>,
-        ctx: &TraceCtx,
-    ) -> Result<FileMeta, DfsError> {
-        self.write_payload_traced(path, &Payload::from(data), writer, ctx)
+        self.write_payload_traced(path, &Payload::from(data), writer, &TraceCtx::disabled())
     }
 
     /// Zero-copy write: blocks are views into the shared payload buffer
     /// (no per-chunk copy), and the namespace commit goes through
-    /// [`Dfs::commit_files_batch`] with a batch of one.
+    /// [`Dfs::commit_files_batch`] with a batch of one. Attributed to
+    /// `ctx` as a `dfs_write` child span with one `dfs_block_placed`
+    /// event per block recording the block id and how many replicas
+    /// landed.
     pub fn write_payload_traced(
         &self,
         path: &str,
@@ -723,7 +702,7 @@ impl Dfs {
             let entry = files
                 .remove(path)
                 .ok_or_else(|| DfsError::FileNotFound(path.to_string()))?;
-            // Log under the namespace lock (see `write_traced`); the
+            // Log under the namespace lock (see `commit_files_batch`); the
             // record carries the block ids so replay can clear the block
             // map even when a checkpoint captured blocks but not the
             // file entry.
@@ -891,28 +870,6 @@ impl Dfs {
         self.obs.under_replicated_unrecoverable.set(unrecoverable);
         tspan.add_field("created", &created.to_string());
         created
-    }
-
-    /// Blocks the last [`Dfs::re_replicate`] pass could not repair
-    /// (compat view over the `dfs_under_replicated_unrecoverable`
-    /// gauge).
-    pub fn unrecoverable_blocks(&self) -> i64 {
-        self.obs.under_replicated_unrecoverable.get()
-    }
-
-    /// Read-locality counters (compatibility view over the obs
-    /// registry's `dfs_block_reads_total{locality=..}` counters).
-    pub fn locality_stats(&self) -> LocalityStats {
-        LocalityStats {
-            node_local: self.obs.node_local.get(),
-            rack_local: self.obs.rack_local.get(),
-            remote: self.obs.remote.get(),
-        }
-    }
-
-    /// Total replicas created by the replication monitor.
-    pub fn rereplication_count(&self) -> u64 {
-        self.obs.rereplicated.get()
     }
 
     /// `(used bytes, capacity bytes)` across live nodes.
@@ -1307,13 +1264,18 @@ mod tests {
         assert_eq!(reg.histogram(names::DFS_WRITE_BYTES, &[]).sum(), 200);
         assert_eq!(reg.histogram(names::DFS_READ_BYTES, &[]).sum(), 200);
         assert!(reg.histogram(names::DFS_OP_LATENCY_NS, &[("op", "read")]).count() >= 1);
-        // Locality counters flow through the registry and the compat view.
-        let stats = fs.locality_stats();
-        assert_eq!(
-            stats.node_local + stats.rack_local + stats.remote,
-            reg.counter_total(names::DFS_BLOCK_READS_TOTAL),
-        );
-        assert_eq!(stats.node_local + stats.rack_local + stats.remote, 4);
+        // Every block read is counted under its locality.
+        assert_eq!(reg.counter_total(names::DFS_BLOCK_READS_TOTAL), 4);
+    }
+
+    fn block_reads(fs: &Dfs, locality: &str) -> u64 {
+        fs.obs()
+            .counter_value(names::DFS_BLOCK_READS_TOTAL, &[("locality", locality)])
+    }
+
+    fn unrecoverable(fs: &Dfs) -> i64 {
+        fs.obs()
+            .gauge_value(names::DFS_UNDER_REPLICATED_UNRECOVERABLE, &[])
     }
 
     fn dfs(racks: u16, per_rack: u16, block: u64, repl: usize) -> Dfs {
@@ -1400,9 +1362,8 @@ mod tests {
         let fs = dfs(2, 3, 1000, 3);
         fs.write("/f", &data(100), Some(DfsNodeId(2))).unwrap();
         fs.read("/f", Some(DfsNodeId(2))).unwrap();
-        let stats = fs.locality_stats();
-        assert_eq!(stats.node_local, 1);
-        assert_eq!(stats.remote, 0);
+        assert_eq!(block_reads(&fs, "node_local"), 1);
+        assert_eq!(block_reads(&fs, "remote"), 0);
     }
 
     #[test]
@@ -1433,7 +1394,7 @@ mod tests {
                 .iter()
                 .all(|n| fs.node(*n).is_alive()));
         }
-        assert_eq!(fs.rereplication_count(), 5);
+        assert_eq!(fs.obs().counter_value(names::DFS_REREPLICATIONS_TOTAL, &[]), 5);
     }
 
     #[test]
@@ -1465,16 +1426,11 @@ mod tests {
         fs.kill_node(lb.replicas[0]);
         let created = fs.re_replicate();
         assert_eq!(created, 0, "the only candidate node is full");
-        assert_eq!(fs.unrecoverable_blocks(), 1);
-        assert_eq!(
-            fs.obs()
-                .gauge_value(names::DFS_UNDER_REPLICATED_UNRECOVERABLE, &[]),
-            1
-        );
+        assert_eq!(unrecoverable(&fs), 1);
         // Free the space: the next pass repairs and clears the gauge.
         fs.node(spare).delete_block(BlockId(999)).unwrap();
         assert_eq!(fs.re_replicate(), 1);
-        assert_eq!(fs.unrecoverable_blocks(), 0);
+        assert_eq!(unrecoverable(&fs), 0);
         assert!(fs.under_replicated().is_empty());
     }
 
@@ -1496,12 +1452,12 @@ mod tests {
         fs.kill_node(lb.replicas[1]);
         assert_eq!(fs.re_replicate(), 0);
         assert!(fs.obs().counter_value(names::DFS_STORE_RETRY_TOTAL, &[]) >= 1);
-        assert_eq!(fs.unrecoverable_blocks(), 1);
+        assert_eq!(unrecoverable(&fs), 1);
         // Healthy again: the next pass places the replica and clears the
         // gauge.
         fs.clear_node_flaky(spare);
         assert_eq!(fs.re_replicate(), 1);
-        assert_eq!(fs.unrecoverable_blocks(), 0);
+        assert_eq!(unrecoverable(&fs), 0);
         assert!(fs.under_replicated().is_empty());
     }
 
@@ -1534,7 +1490,7 @@ mod tests {
             fs.kill_node(lb.replicas[1]);
             assert_eq!(fs.re_replicate(), 1, "seed {seed}: repair must succeed");
             assert!(fs.under_replicated().is_empty(), "seed {seed}");
-            assert_eq!(fs.unrecoverable_blocks(), 0, "seed {seed}");
+            assert_eq!(unrecoverable(&fs), 0, "seed {seed}");
             saw_retry |= fs.obs().counter_value(names::DFS_STORE_RETRY_TOTAL, &[]) >= 1;
         }
         assert!(saw_retry, "some seed must have hit the flaky spare first");
@@ -1550,7 +1506,7 @@ mod tests {
         assert!(fs.obs().counter_value(names::DFS_FLAKY_FAILURES_TOTAL, &[]) >= 1);
         fs.clear_node_flaky(DfsNodeId(0));
         fs.read("/f", Some(DfsNodeId(0))).unwrap();
-        assert_eq!(fs.locality_stats().node_local, 1, "healthy again");
+        assert_eq!(block_reads(&fs, "node_local"), 1, "healthy again");
     }
 
     #[test]

@@ -251,9 +251,24 @@ where
             .collect()
     };
 
+    // Each executor's first planned task is claimed before any thread
+    // starts: an executor whose thread starts late (a straggler) still
+    // holds work its peers can speculate on, instead of finding every
+    // task already drained.
+    let mut states = vec![TaskState::Pending; n_tasks];
+    let first: Vec<Option<usize>> = config
+        .workers
+        .iter()
+        .map(|&w| {
+            let i = (0..n_tasks).find(|&i| plan[i] == w && states[i] == TaskState::Pending)?;
+            states[i] = TaskState::Running { attempts: 1 };
+            Some(i)
+        })
+        .collect();
+    let claimed = first.iter().flatten().count();
     let board = Mutex::new(Board {
-        states: vec![TaskState::Pending; n_tasks],
-        pending: n_tasks,
+        states,
+        pending: n_tasks - claimed,
         done: 0,
     });
     let board_cv = Condvar::new();
@@ -274,7 +289,7 @@ where
     let spec_won = AtomicU64::new(0);
 
     crossbeam::thread::scope(|scope| {
-        for &worker in &config.workers {
+        for (&worker, mut first) in config.workers.iter().zip(first) {
             let tasks = &tasks;
             let plan = &plan;
             let rank_for = &rank_for;
@@ -304,7 +319,9 @@ where
                         Wait,
                         Exit,
                     }
-                    let pick = {
+                    let pick = if let Some(i) = first.take() {
+                        Pick::Task(i, false)
+                    } else {
                         let mut b = board.lock();
                         if b.done == tasks.len() {
                             Pick::Exit

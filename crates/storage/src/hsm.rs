@@ -304,12 +304,6 @@ impl Hsm {
         self.inner.lock().catalog.values().cloned().collect()
     }
 
-    /// `(demotions, recalls)` performed so far (compatibility view over
-    /// the obs registry counters).
-    pub fn counters(&self) -> (u64, u64) {
-        (self.obs.demotions.get(), self.obs.recalls.get())
-    }
-
     /// Disk usage as a fraction of capacity.
     pub fn disk_usage(&self) -> f64 {
         self.disk.used() as f64 / self.disk.capacity() as f64
@@ -472,6 +466,16 @@ mod tests {
         Hsm::new(disk, tape, 0.5, 0.8, policy)
     }
 
+    /// `(demotions, recalls)` as the registry counted them.
+    fn tier_moves(hsm: &Hsm) -> (u64, u64) {
+        let labels = [("store", "disk")];
+        let reg = hsm.obs();
+        (
+            reg.counter_value(names::HSM_DEMOTIONS_TOTAL, &labels),
+            reg.counter_value(names::HSM_RECALLS_TOTAL, &labels),
+        )
+    }
+
     fn blob(n: usize) -> Bytes {
         Bytes::from(vec![7u8; n])
     }
@@ -482,7 +486,7 @@ mod tests {
         hsm.put("a", blob(100)).unwrap();
         assert_eq!(hsm.tier_of("a").unwrap(), Tier::Disk);
         assert_eq!(hsm.get("a").unwrap(), blob(100));
-        assert_eq!(hsm.counters(), (0, 0));
+        assert_eq!(tier_moves(&hsm), (0, 0));
     }
 
     #[test]
@@ -546,9 +550,7 @@ mod tests {
         let data = hsm.get("o0").unwrap();
         assert_eq!(data, blob(100));
         assert_eq!(hsm.tier_of("o0").unwrap(), Tier::Disk, "recall promotes");
-        let (demotions, recalls) = hsm.counters();
-        assert_eq!(demotions, 4);
-        assert_eq!(recalls, 1);
+        assert_eq!(tier_moves(&hsm), (4, 1));
     }
 
     #[test]
@@ -619,8 +621,6 @@ mod tests {
         assert_eq!(reg.counter_value(names::HSM_PUTS_TOTAL, &labels), 9);
         assert_eq!(reg.histogram(names::HSM_DEMOTE_BYTES, &labels).sum(), 400);
         assert_eq!(reg.histogram(names::HSM_RECALL_LATENCY_NS, &labels).count(), 1);
-        // The compat view and the registry agree.
-        assert_eq!(hsm.counters(), (4, 1));
         assert!(reg.events().iter().any(|e| e.name == "hsm_recall"));
     }
 

@@ -188,7 +188,7 @@ fn main() {
         .expect("ingest");
     let job = run_job(
         facility.dfs(),
-        &["runs/today".to_string()],
+        &[lsdf_adal::dfs_path("genomics", "runs/today")],
         &KmerMapper { k: 21 },
         Some(&KmerCombiner),
         &KmerReducer,

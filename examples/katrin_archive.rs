@@ -12,6 +12,7 @@ use std::rc::Rc;
 
 use lsdf_core::{BackendChoice, Facility, IngestItem, IngestPolicy, ProjectSpec};
 use lsdf_metadata::{FieldType, SchemaBuilder, Value};
+use lsdf_obs::names;
 use lsdf_sim::Simulation;
 use lsdf_storage::{MigrationPolicy, TapeLibrary, TapeOp, TapeParams, Tier};
 use lsdf_workloads::katrin::{KatrinGenerator, Spectrum, ENDPOINT_EV};
@@ -79,7 +80,9 @@ fn main() {
         .iter()
         .filter(|e| e.tier == Tier::Tape)
         .count();
-    let (demotions, _) = hsm.counters();
+    let demotions = facility
+        .obs()
+        .counter_value(names::HSM_DEMOTIONS_TOTAL, &[("store", "katrin-disk")]);
     println!(
         "ingested {RUNS} runs; {} on tape after {} demotions (disk at {:.0}%)",
         on_tape,

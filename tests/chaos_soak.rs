@@ -80,7 +80,7 @@ fn run_soak_with(seed: u64, workers: usize) -> String {
         },
         reg.clone(),
     ));
-    let dfs_inner: Arc<dyn StorageBackend> = Arc::new(DfsBackend::new(dfs.clone()));
+    let dfs_inner: Arc<dyn StorageBackend> = Arc::new(DfsBackend::new(dfs.clone(), "dfs"));
     let hsm = Arc::new(Hsm::with_registry(
         Arc::new(ObjectStore::new("hsm-disk", 20_000)),
         Arc::new(ObjectStore::new("hsm-tape", u64::MAX)),

@@ -2,6 +2,7 @@
 //! metadata → workflow trigger → processing → query → fetch, the full
 //! slide-10 architecture in motion.
 
+use lsdf_adal::dfs_path;
 use lsdf_core::{BackendChoice, DataBrowser, Facility, IngestItem, IngestPolicy, ProjectSpec};
 use lsdf_dfs::{ClusterTopology, DfsConfig};
 use lsdf_mapreduce::{run_job, JobConfig};
@@ -169,7 +170,7 @@ fn genomics_project_runs_mapreduce_on_facility_dfs() {
     // The payload is a DFS file; run MapReduce directly on it.
     let out = run_job(
         f.dfs(),
-        &["runs/r1".to_string()],
+        &[dfs_path("genomics", "runs/r1")],
         &KmerMapper { k: 15 },
         Some(&KmerCombiner),
         &KmerReducer,

@@ -1,7 +1,7 @@
 //! Observability round trip: run a facility_roundtrip-style workload,
-//! then assert the shared lsdf-obs registry reproduces every number the
-//! subsystems' compatibility views report — ADAL op counts, HSM tier
-//! transitions, DFS locality — and that the JSON export carries them.
+//! then assert the shared lsdf-obs registry counts every subsystem's
+//! work — ADAL op counts, ingest outcomes, HSM tier transitions, DFS
+//! block-read locality — and that the JSON export carries them.
 
 use std::sync::Arc;
 
@@ -129,47 +129,33 @@ fn run_workload(f: &Facility) -> (u64, u64) {
 }
 
 #[test]
-fn registry_reconciles_with_every_compat_view() {
+fn registry_counts_every_subsystem_op() {
     let reg = Arc::new(Registry::new());
     let f = facility(reg.clone());
     let (ingested, gets) = run_workload(&f);
 
-    // ADAL compat counters and the registry agree exactly.
-    let counters = f.adal().counters();
-    assert_eq!(counters.puts, ingested);
-    assert_eq!(counters.gets, gets);
-    assert_eq!(
-        reg.counter_value(names::ADAL_OPS_TOTAL, &[("op", "put")]),
-        counters.puts
-    );
-    assert_eq!(
-        reg.counter_value(names::ADAL_OPS_TOTAL, &[("op", "get")]),
-        counters.gets
-    );
-    assert_eq!(reg.counter_value(names::ADAL_DENIED_TOTAL, &[]), counters.denied);
+    // The ADAL counted exactly the workload's ops.
+    assert_eq!(reg.counter_value(names::ADAL_OPS_TOTAL, &[("op", "put")]), ingested);
+    assert_eq!(reg.counter_value(names::ADAL_OPS_TOTAL, &[("op", "get")]), gets);
+    assert_eq!(reg.counter_value(names::ADAL_DENIED_TOTAL, &[]), 0);
 
     // Ingest outcome counters sum to the items pushed.
     assert_eq!(reg.counter_total(names::FACILITY_INGEST_TOTAL), ingested);
 
-    // HSM tier transitions match the compat view.
-    let (demotions, recalls) = f.hsm("climate").expect("hsm").counters();
-    assert!(demotions > 0, "watermarks force demotions");
-    assert!(recalls > 0, "reads force recalls");
-    assert_eq!(
-        reg.counter_value(names::HSM_DEMOTIONS_TOTAL, &[("store", "climate-disk")]),
-        demotions
+    // HSM tier transitions.
+    let store = [("store", "climate-disk")];
+    assert!(
+        reg.counter_value(names::HSM_DEMOTIONS_TOTAL, &store) > 0,
+        "watermarks force demotions"
     );
-    assert_eq!(
-        reg.counter_value(names::HSM_RECALLS_TOTAL, &[("store", "climate-disk")]),
-        recalls
+    assert!(
+        reg.counter_value(names::HSM_RECALLS_TOTAL, &store) > 0,
+        "reads force recalls"
     );
 
-    // DFS saw the genomics file, locality counters included.
-    let stats = f.dfs().locality_stats();
-    assert_eq!(
-        reg.counter_total(names::DFS_BLOCK_READS_TOTAL),
-        stats.node_local + stats.rack_local + stats.remote
-    );
+    // DFS read the genomics file back, every block read counted by
+    // locality.
+    assert!(reg.counter_total(names::DFS_BLOCK_READS_TOTAL) > 0);
 
     // Latency histograms populated with sane quantiles.
     let put_lat = reg.histogram(names::ADAL_OP_LATENCY_NS, &[("op", "put")]);

@@ -228,3 +228,111 @@ fn traced_chaos_soak_reconciles_events_with_counters() {
         "no trace captured a retry-exhausted or breaker-open event"
     );
 }
+
+/// Counts `chaos_fault` trace events per fault kind for one injection
+/// backend name.
+fn chaos_events(tracer: &Tracer, backend: &str) -> BTreeMap<String, u64> {
+    let mut tallies = BTreeMap::new();
+    for trace in tracer.traces() {
+        trace.root.for_each_event(&mut |_, event| {
+            let field = |key: &str| {
+                event
+                    .fields
+                    .iter()
+                    .find(|(k, _)| k == key)
+                    .map(|(_, v)| v.as_str())
+            };
+            if event.name == names::CHAOS_FAULT_EVENT && field("backend") == Some(backend) {
+                *tallies.entry(field("fault").unwrap_or_default().to_string()).or_insert(0) += 1;
+            }
+        });
+    }
+    tallies
+}
+
+/// Replica writes, failover reads, write-once checks and cleanup calls
+/// carry the operation's trace context too: a fault injected on the
+/// replica is traced exactly as often as it is counted, on the serial
+/// and on the parallel primary/replica fan-out.
+#[test]
+fn replica_faults_reconcile_with_their_trace_events() {
+    for workers in [1, 2] {
+        let seed = 0x15df_0006u64;
+        let reg = Arc::new(Registry::new());
+        reg.set_virtual_time_ns(1);
+        let tracer = Tracer::new(&reg, TraceConfig::full().capacity(100_000).seed(seed));
+        let auth = Arc::new(TokenAuth::new());
+        auth.register("tok", "operator");
+        let acl = Arc::new(Acl::new());
+        acl.grant("operator", "soak", true);
+        let adal = Adal::builder()
+            .auth(auth)
+            .acl(acl)
+            .registry(reg.clone())
+            .tracer(tracer.clone())
+            .workers(workers)
+            .build();
+        let cred = Credential::Token("tok".into());
+        let faulty = |name: &str, outage: (u64, u64)| -> Arc<dyn StorageBackend> {
+            let inner = Arc::new(ObjectStoreBackend::new(Arc::new(ObjectStore::new(
+                name,
+                u64::MAX,
+            ))));
+            let plan = FaultPlan::quiet(seed)
+                .transient(0.05)
+                .torn_writes(0.1)
+                .latency_spikes(0.05, 2 * MS)
+                .outage(outage.0, outage.1);
+            FaultyBackend::new(name, inner, plan, &reg)
+        };
+        adal.mount_resilient(
+            "soak",
+            faulty("primary", (100, 140)),
+            Some(faulty("replica", (20, 60))),
+            ResilienceConfig {
+                retry: RetryPolicy::new(4, MS, 50 * MS, MS / 2),
+                breaker: BreakerConfig {
+                    window: 16,
+                    min_calls: 8,
+                    failure_rate: 0.5,
+                    cooldown_ns: 10 * MS,
+                    half_open_probes: 2,
+                },
+                seed,
+                ..ResilienceConfig::default()
+            },
+        );
+
+        // A mixed workload whose outcomes do not matter here: every
+        // call that reaches a backend is traced.
+        let mut rng = SimRng::seed_from_u64(seed).stream("replica-reconciliation");
+        for i in 0..600u64 {
+            reg.set_virtual_time_ns(1 + i * MS);
+            let path = format!("lsdf://soak/k/{:03}", rng.index(400));
+            let _ = match rng.index(10) {
+                0..=4 => adal.put(&cred, &path, Bytes::from(vec![i as u8; 16])).map(|_| ()),
+                5..=6 => adal.get(&cred, &path).map(|_| ()),
+                7 => adal.stat(&cred, &path).map(|_| ()),
+                8 => adal.list(&cred, "lsdf://soak/k/").map(|_| ()),
+                _ => adal.delete(&cred, &path),
+            };
+        }
+        adal.drain_journal("soak");
+
+        for backend in ["primary", "replica"] {
+            let events = chaos_events(&tracer, backend);
+            for fault in ["transient", "torn_write", "outage", "latency_spike"] {
+                let injected = reg.counter_value(
+                    names::CHAOS_INJECTED_TOTAL,
+                    &[("backend", backend), ("fault", fault)],
+                );
+                assert!(injected >= 1, "{workers} workers: no {fault} on {backend}");
+                assert_eq!(
+                    events.get(fault).copied().unwrap_or(0),
+                    injected,
+                    "{workers} workers: {backend} {fault} events vs injected counter"
+                );
+            }
+        }
+    }
+}
