@@ -6,37 +6,30 @@
 //! `adal_project_ops_total{project=..,op=..}` breakdown) and records
 //! its latency into `adal_op_latency_ns{op=..}`.
 //!
-//! Each operation has one code path: a single put is a staged put of
-//! one committed as a batch of one, and every backend call carries the
-//! operation's trace context (disabled when no tracer is attached).
+//! Each operation has one code path — resolve, call the mount's
+//! backend with the operation's trace context (disabled when no tracer
+//! is attached), account — and a single put is a staged put of one
+//! committed as a batch of one.
 //!
-//! Projects mounted with [`Adal::mount_resilient`] additionally get the
-//! failure handling a 24/7 ingest facility needs:
-//!
-//! * transient backend errors are retried under a [`RetryPolicy`]
-//!   (bounded exponential backoff, jitter from a deterministic stream);
-//! * a per-project [`CircuitBreaker`] stops hammering a failing
-//!   backend and probes it half-open after a cool-down;
-//! * while the breaker is open, reads fail over to an optional replica
-//!   backend and writes are acknowledged into a bounded [`RedoJournal`]
-//!   that drains back to the primary on recovery;
-//! * every put can be read back and checksum-verified (torn-write
-//!   detection via `lsdf_storage::checksum`).
-//!
-//! All of it is observable: `adal_retries_total`,
+//! [`Adal::mount_resilient`] mounts a project through a
+//! `ResilientBackend` (the `resilience` module): a [`StorageBackend`]
+//! decorator holding the retries, circuit breaker, read-back
+//! verification, replica fan-out, failover reads and redo journal a
+//! 24/7 ingest facility needs. The layer calls it like any other
+//! backend; only [`Adal::drain_journal`] and [`Adal::health`] hold a
+//! typed handle to it. Its counters (`adal_retries_total`,
 //! `adal_breaker_transitions_total{to=..}`, `adal_failover_reads_total`,
-//! `adal_journal_depth` and friends land in the shared registry, and
+//! `adal_journal_depth` and friends) land in the shared registry, and
 //! [`Adal::health`] assembles a per-project [`HealthReport`].
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
-use lsdf_obs::{Counter, Gauge, Histogram, Registry, Span, TraceCtx, Tracer};
+use lsdf_obs::{Counter, Histogram, Registry, Span, TraceCtx, Tracer};
 use lsdf_pool::WorkerPool;
-use lsdf_sim::SimRng;
 use lsdf_storage::Payload;
 
 use crate::auth::{Access, Acl, AuthError, AuthProvider, Credential, TokenAuth};
@@ -44,10 +37,7 @@ use crate::backend::{BackendError, EntryMeta, StagedPut, StorageBackend};
 use crate::path::{LsdfPath, PathError};
 use lsdf_obs::names;
 
-use crate::resilience::{
-    BreakerState, BreakerTransition, CircuitBreaker, HealthReport, RedoJournal,
-    ResilienceConfig, RetryPolicy,
-};
+use crate::resilience::{BreakerState, HealthReport, ResilienceConfig, ResilientBackend};
 
 /// Errors surfaced by ADAL operations.
 #[derive(Debug, Clone, PartialEq)]
@@ -158,241 +148,24 @@ impl OpMetrics {
     }
 }
 
-/// Cached per-project registry handles for the resilience machinery.
-struct ResilienceMetrics {
-    retries: Counter,
-    transient_observed: Counter,
-    retry_exhausted: Counter,
-    failover_reads: Counter,
-    journal_enqueued: Counter,
-    journal_drained: Counter,
-    journal_conflicts: Counter,
-    verify_failures: Counter,
-    replica_write_failures: Counter,
-    breaker_to_open: Counter,
-    breaker_to_half_open: Counter,
-    breaker_to_closed: Counter,
-    breaker_state: Gauge,
-    journal_depth: Gauge,
-    journal_bytes: Gauge,
-    backoff_ns: Histogram,
-}
-
-impl ResilienceMetrics {
-    fn new(reg: &Registry, project: &str) -> Self {
-        let labels: [(&str, &str); 1] = [("project", project)];
-        let transition =
-            |to| reg.counter(names::ADAL_BREAKER_TRANSITIONS_TOTAL, &[("project", project), ("to", to)]);
-        ResilienceMetrics {
-            retries: reg.counter(names::ADAL_RETRIES_TOTAL, &labels),
-            transient_observed: reg.counter(names::ADAL_TRANSIENT_OBSERVED_TOTAL, &labels),
-            retry_exhausted: reg.counter(names::ADAL_RETRY_EXHAUSTED_TOTAL, &labels),
-            failover_reads: reg.counter(names::ADAL_FAILOVER_READS_TOTAL, &labels),
-            journal_enqueued: reg.counter(names::ADAL_JOURNAL_ENQUEUED_TOTAL, &labels),
-            journal_drained: reg.counter(names::ADAL_JOURNAL_DRAINED_TOTAL, &labels),
-            journal_conflicts: reg.counter(names::ADAL_JOURNAL_CONFLICTS_TOTAL, &labels),
-            verify_failures: reg.counter(names::ADAL_WRITE_VERIFY_FAILURES_TOTAL, &labels),
-            replica_write_failures: reg.counter(names::ADAL_REPLICA_WRITE_FAILURES_TOTAL, &labels),
-            breaker_to_open: transition("open"),
-            breaker_to_half_open: transition("half_open"),
-            breaker_to_closed: transition("closed"),
-            breaker_state: reg.gauge(names::ADAL_BREAKER_STATE, &labels),
-            journal_depth: reg.gauge(names::ADAL_JOURNAL_DEPTH, &labels),
-            journal_bytes: reg.gauge(names::ADAL_JOURNAL_BYTES, &labels),
-            backoff_ns: reg.histogram(names::ADAL_RETRY_BACKOFF_NS, &labels),
-        }
-    }
-}
-
-/// Resilience state attached to a mount by [`Adal::mount_resilient`].
-struct ResilientState {
-    replica: Option<Arc<dyn StorageBackend>>,
-    policy: RetryPolicy,
-    breaker: CircuitBreaker,
-    journal: RedoJournal,
-    verify_writes: bool,
-    rng: Mutex<SimRng>,
-    metrics: ResilienceMetrics,
-}
-
-impl ResilientState {
-    /// Publishes a breaker transition to counters, the state gauge, the
-    /// event ring, and — when a trace is live — the causal trace.
-    fn note_transition(&self, obs: &Registry, ctx: &TraceCtx, project: &str, t: BreakerTransition) {
-        match t.to {
-            BreakerState::Open => self.metrics.breaker_to_open.inc(),
-            BreakerState::HalfOpen => self.metrics.breaker_to_half_open.inc(),
-            BreakerState::Closed => self.metrics.breaker_to_closed.inc(),
-        }
-        self.metrics.breaker_state.set(t.to.as_gauge());
-        ctx.event(
-            names::ADAL_BREAKER_TRANSITION_EVENT,
-            &[("project", project), ("from", t.from.name()), ("to", t.to.name())],
-        );
-        obs.event(
-            names::ADAL_BREAKER_LOG_EVENT,
-            &[("project", project), ("from", t.from.name()), ("to", t.to.name())],
-        );
-    }
-
-    /// Asks the breaker for permission to call the primary.
-    fn acquire(&self, obs: &Registry, ctx: &TraceCtx, project: &str) -> bool {
-        let (ok, t) = self.breaker.try_acquire(obs.now_ns());
-        if let Some(t) = t {
-            self.note_transition(obs, ctx, project, t);
-        }
-        ok
-    }
-
-    /// Records a call outcome in the breaker.
-    fn record(&self, obs: &Registry, ctx: &TraceCtx, project: &str, success: bool) {
-        if let Some(t) = self.breaker.record(obs.now_ns(), success) {
-            self.note_transition(obs, ctx, project, t);
-        }
-    }
-
-    /// Mirrors the journal bounds into the depth/bytes gauges.
-    fn sync_journal_gauges(&self) {
-        self.metrics.journal_depth.set(self.journal.depth() as i64);
-        self.metrics.journal_bytes.set(self.journal.bytes() as i64);
-    }
-
-    /// Runs `call` under the retry policy: transient errors are retried
-    /// with recorded (not slept) backoff until the attempt budget is
-    /// spent or the breaker leaves the closed state; deterministic
-    /// errors return immediately and count as backend-healthy.
-    ///
-    /// Each attempt runs inside its own `adal_attempt` child span of
-    /// `ctx`; retries and exhaustion are mirrored onto the trace as
-    /// events next to their counters.
-    ///
-    /// Counter identity, asserted by the chaos soak:
-    /// `adal_transient_observed_total ==
-    ///  adal_retries_total + adal_retry_exhausted_total`.
-    fn with_retries<T>(
-        &self,
-        obs: &Registry,
-        ctx: &TraceCtx,
-        project: &str,
-        mut call: impl FnMut(&TraceCtx) -> Result<T, BackendError>,
-    ) -> Result<T, BackendError> {
-        let mut attempt: u32 = 0;
-        loop {
-            let attempt_span = ctx.child(names::ADAL_ATTEMPT_SPAN);
-            if attempt_span.is_enabled() {
-                attempt_span.add_field("attempt", &attempt.to_string());
-            }
-            let out = call(&attempt_span);
-            attempt_span.finish();
-            match out {
-                Ok(v) => {
-                    self.record(obs, ctx, project, true);
-                    return Ok(v);
-                }
-                Err(e) if e.is_transient() => {
-                    self.metrics.transient_observed.inc();
-                    self.record(obs, ctx, project, false);
-                    let out_of_attempts = attempt + 1 >= self.policy.max_attempts;
-                    // A breaker our own failures just opened must not be
-                    // hammered by the rest of the retry budget.
-                    if out_of_attempts || self.breaker.state() == BreakerState::Open {
-                        self.metrics.retry_exhausted.inc();
-                        ctx.event(names::ADAL_RETRY_EXHAUSTED_EVENT, &[("project", project)]);
-                        return Err(e);
-                    }
-                    let delay = self.policy.delay_ns(attempt, &mut self.rng.lock());
-                    self.metrics.backoff_ns.record(delay);
-                    self.metrics.retries.inc();
-                    if ctx.is_enabled() {
-                        ctx.event(
-                            names::ADAL_RETRY_EVENT,
-                            &[("project", project), ("delay_ns", &delay.to_string())],
-                        );
-                    }
-                    attempt += 1;
-                }
-                Err(e) => {
-                    // The backend answered authoritatively: it is healthy,
-                    // the request is just wrong (NotFound, AlreadyExists…).
-                    self.record(obs, ctx, project, true);
-                    return Err(e);
-                }
-            }
-        }
-    }
-
-    /// One put attempt with optional read-back verification. The
-    /// read-back is compared against the source payload with
-    /// [`Payload::content_eq`] — an identical shared buffer verifies in
-    /// O(1), a substituted (torn) buffer fails the byte comparison, and
-    /// neither side is hashed. A mismatch removes the bad copy and
-    /// reports [`BackendError::Integrity`] so the retry loop redoes the
-    /// transfer.
-    fn put_verified(
-        &self,
-        ctx: &TraceCtx,
-        backend: &Arc<dyn StorageBackend>,
-        key: &str,
-        data: &Payload,
-    ) -> Result<(), BackendError> {
-        // lint: allow(payload_copy) -- Payload handle clone: refcount bump
-        backend.put(ctx, key, data.clone())?;
-        if !self.verify_writes {
-            return Ok(());
-        }
-        match backend.get(ctx, key) {
-            Ok(back) if back.content_eq(data) => Ok(()),
-            Ok(_) => {
-                self.metrics.verify_failures.inc();
-                let _ = backend.delete(ctx, key);
-                Err(BackendError::Integrity(format!(
-                    "write verification failed for '{key}'"
-                )))
-            }
-            Err(e) => {
-                // Could not read our own write back: clean up and let the
-                // retry loop redo the transfer.
-                let _ = backend.delete(ctx, key);
-                if e.is_transient() {
-                    Err(e)
-                } else {
-                    Err(BackendError::Integrity(format!(
-                        "write verification read-back failed for '{key}': {e}"
-                    )))
-                }
-            }
-        }
-    }
-
-    /// Best-effort copy of a successful write onto the replica. The
-    /// clone is a refcount bump sharing one payload handle (and its
-    /// memoized digest) with the primary copy.
-    fn replicate(&self, ctx: &TraceCtx, key: &str, data: &Payload) {
-        if let Some(rep) = &self.replica {
-            // lint: allow(payload_copy) -- Payload handle clone: refcount bump
-            if rep.put(ctx, key, data.clone()).is_err() {
-                self.metrics.replica_write_failures.inc();
-            }
-        }
-    }
-}
-
-/// One project mount: the primary backend plus optional resilience.
+/// One project mount: the backend every operation calls, plus — for a
+/// resilient mount — a typed handle to that same backend, read only by
+/// [`Adal::drain_journal`] and [`Adal::health`].
 #[derive(Clone)]
 struct Mount {
     backend: Arc<dyn StorageBackend>,
-    resilience: Option<Arc<ResilientState>>,
+    resilient: Option<Arc<ResilientBackend>>,
 }
 
 /// A put staged by [`Adal::put_stage_traced`], carrying everything
-/// needed to finalize it — the deferred backend commit (if any) plus
+/// needed to finalize it — the deferred backend commit plus
 /// the latency span and per-project accounting that
 /// [`Adal::commit_staged`] completes in batch order. The trace span
 /// closes at stage time, while its parent (e.g. a pool task span) is
 /// still open — a trace child finishing after its parent is dropped.
 pub struct PendingPut {
     backend: Arc<dyn StorageBackend>,
-    staged: Option<StagedPut>,
+    staged: StagedPut,
     project: String,
     kind: &'static str,
     len: u64,
@@ -411,46 +184,6 @@ pub struct Adal {
 }
 
 impl Adal {
-    /// Creates an ADAL with the given authentication provider and ACL,
-    /// recording into a private obs registry. Use
-    /// [`Adal::with_registry`] (or [`Adal::builder`]) to share a
-    /// facility-wide registry.
-    pub fn new(auth: Arc<dyn AuthProvider>, acl: Arc<Acl>) -> Self {
-        Self::with_registry(auth, acl, Arc::new(Registry::new()))
-    }
-
-    /// Creates an ADAL recording into `registry`, with the serial
-    /// (single-worker) pool; use [`Adal::builder`] to enable parallel
-    /// replica fan-out.
-    pub fn with_registry(
-        auth: Arc<dyn AuthProvider>,
-        acl: Arc<Acl>,
-        registry: Arc<Registry>,
-    ) -> Self {
-        Self::with_pool(auth, acl, registry, WorkerPool::serial())
-    }
-
-    /// Creates an ADAL recording into `registry` whose resilient writes
-    /// fan primary and replica puts out over `pool`. Results are
-    /// identical for every worker count; only wall-clock time changes.
-    pub fn with_pool(
-        auth: Arc<dyn AuthProvider>,
-        acl: Arc<Acl>,
-        registry: Arc<Registry>,
-        pool: WorkerPool,
-    ) -> Self {
-        let ops = OpMetrics::new(&registry);
-        Adal {
-            auth,
-            acl,
-            mounts: RwLock::new(HashMap::new()),
-            obs: registry,
-            ops,
-            pool,
-            tracer: None,
-        }
-    }
-
     /// Starts a fluent [`AdalBuilder`].
     pub fn builder() -> AdalBuilder {
         AdalBuilder::new()
@@ -469,12 +202,6 @@ impl Adal {
     /// The causal tracer, if one is attached.
     pub fn tracer(&self) -> Option<&Tracer> {
         self.tracer.as_ref()
-    }
-
-    /// Attaches a causal tracer: from here on every operation mints a
-    /// root trace (subject to the tracer's sampling mode).
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = Some(tracer);
     }
 
     /// Mints the root trace context for one operation, or a disabled
@@ -499,7 +226,7 @@ impl Adal {
             project.to_string(),
             Mount {
                 backend,
-                resilience: None,
+                resilient: None,
             },
         );
     }
@@ -519,30 +246,28 @@ impl Adal {
         replica: Option<Arc<dyn StorageBackend>>,
         cfg: ResilienceConfig,
     ) {
-        let metrics = ResilienceMetrics::new(&self.obs, project);
-        metrics.breaker_state.set(BreakerState::Closed.as_gauge());
-        let state = ResilientState {
+        let kind = primary.kind();
+        let resilient = Arc::new(ResilientBackend::new(
+            project,
+            primary,
             replica,
-            breaker: CircuitBreaker::new(cfg.breaker),
-            journal: RedoJournal::new(cfg.journal_entries, cfg.journal_bytes),
-            verify_writes: cfg.verify_writes,
-            rng: Mutex::new(SimRng::seed_from_u64(cfg.seed).stream(project)),
-            policy: cfg.retry,
-            metrics,
-        };
+            cfg,
+            self.obs.clone(),
+            self.pool,
+        ));
         self.obs.event(
             names::ADAL_MOUNT_LOG_EVENT,
             &[
                 ("project", project),
-                ("backend", primary.kind()),
+                ("backend", kind),
                 ("mode", "resilient"),
             ],
         );
         self.mounts.write().insert(
             project.to_string(),
             Mount {
-                backend: primary,
-                resilience: Some(Arc::new(state)),
+                backend: resilient.clone(),
+                resilient: Some(resilient),
             },
         );
     }
@@ -626,10 +351,7 @@ impl Adal {
     }
 
     /// Stores an object at `lsdf://project/key`: a staged put of one,
-    /// committed as a batch of one. On a resilient mount the write is
-    /// retried through transient faults, verified against torn writes,
-    /// and — when the backend is down — acknowledged into the redo
-    /// journal for later draining.
+    /// committed as a batch of one.
     pub fn put(
         &self,
         cred: &Credential,
@@ -642,11 +364,12 @@ impl Adal {
             .unwrap_or(Ok(()))
     }
 
-    /// Stages a put for a later batched commit: resolution, admission
-    /// of resilient writes, and block placement happen now (safely in a
-    /// pool worker); the metadata commit that serialises on shared
-    /// state is deferred to [`Adal::commit_staged`]. A write staged
-    /// here is **not** acknowledgeable until its commit returns Ok.
+    /// Stages a put for a later batched commit: resolution and the
+    /// backend's stage step (block placement; the whole write on
+    /// backends that commit eagerly) happen now, safely in a pool
+    /// worker; the metadata commit that serialises on shared state is
+    /// deferred to [`Adal::commit_staged`]. A write staged here is
+    /// **not** acknowledgeable until its commit returns Ok.
     pub fn put_stage_traced(
         &self,
         parent: &TraceCtx,
@@ -665,29 +388,13 @@ impl Adal {
         let (mount, parsed) = self.resolve(cred, path, Access::Write)?;
         let data = data.into();
         let len = data.len() as u64;
-        let staged = match &mount.resilience {
-            // The resilient path commits (or journals) eagerly: its
-            // fan-out, retries, and journaling are self-contained and
-            // its ack point is unchanged.
-            Some(st) => {
-                self.resilient_put(
-                    &trace,
-                    st,
-                    &mount.backend,
-                    &parsed.project,
-                    &parsed.key,
-                    data,
-                )?;
-                None
-            }
-            None => Some(mount.backend.stage_put(&trace, &parsed.key, data)?),
-        };
+        let staged = mount.backend.stage_put(&trace, &parsed.key, data)?;
         trace.finish();
         Ok(PendingPut {
-            backend: mount.backend.clone(),
+            kind: mount.backend.kind(),
+            backend: mount.backend,
             staged,
             project: parsed.project,
-            kind: mount.backend.kind(),
             len,
             span,
         })
@@ -698,71 +405,49 @@ impl Adal {
     /// commit. Results are in batch order; per-put success metrics and
     /// spans are finalized here, serially, in batch order.
     pub fn commit_staged(&self, pending: Vec<PendingPut>) -> Vec<Result<(), AdalError>> {
-        let mut outcomes: Vec<Option<Result<(), BackendError>>> =
-            pending.iter().map(|_| None).collect();
+        let mut outcomes: Vec<Result<(), BackendError>> = vec![Ok(()); pending.len()];
         let mut finalize = Vec::with_capacity(pending.len());
         // Group deferred commits by backend instance, preserving order.
         type CommitGroup = (Arc<dyn StorageBackend>, Vec<usize>, Vec<StagedPut>);
         let mut groups: Vec<CommitGroup> = Vec::new();
         for (i, p) in pending.into_iter().enumerate() {
-            match p.staged {
-                None => outcomes[i] = Some(Ok(())),
-                Some(s) => {
-                    if let Some((_, idxs, batch)) = groups
-                        .iter_mut()
-                        .find(|(b, _, _)| Arc::ptr_eq(b, &p.backend))
-                    {
-                        idxs.push(i);
-                        batch.push(s);
-                    } else {
-                        groups.push((p.backend.clone(), vec![i], vec![s]));
-                    }
-                }
+            if let Some((_, idxs, batch)) = groups
+                .iter_mut()
+                .find(|(b, _, _)| Arc::ptr_eq(b, &p.backend))
+            {
+                idxs.push(i);
+                batch.push(p.staged);
+            } else {
+                groups.push((p.backend, vec![i], vec![p.staged]));
             }
             finalize.push((p.project, p.kind, p.len, p.span));
         }
         for (backend, idxs, batch) in groups {
             for (i, r) in idxs.into_iter().zip(backend.commit_staged(batch)) {
-                outcomes[i] = Some(r);
+                outcomes[i] = r;
             }
         }
         outcomes
             .into_iter()
             .zip(finalize)
             .map(|(outcome, (project, kind, len, span))| {
-                match outcome.unwrap_or(Ok(())) {
-                    Ok(()) => {
-                        self.ops.puts.inc();
-                        self.ops.put_bytes.record(len);
-                        self.project_op(&project, kind, "put");
-                        let dt = span.finish();
-                        self.project_op_latency(&project, dt);
-                        Ok(())
-                    }
-                    Err(e) => Err(AdalError::Backend(e)),
-                }
+                outcome.map_err(AdalError::Backend)?;
+                self.ops.puts.inc();
+                self.ops.put_bytes.record(len);
+                self.project_op(&project, kind, "put");
+                let dt = span.finish();
+                self.project_op_latency(&project, dt);
+                Ok(())
             })
             .collect()
     }
 
-    /// Fetches an object. On a resilient mount, journaled writes are
-    /// readable immediately (read-your-writes), transient faults are
-    /// retried, and an open breaker fails the read over to the replica.
+    /// Fetches an object.
     pub fn get(&self, cred: &Credential, path: &str) -> Result<Bytes, AdalError> {
         let trace = self.trace_root(names::ADAL_GET_SPAN, path);
         let span = self.obs.span(&self.ops.get_latency);
         let (mount, parsed) = self.resolve(cred, path, Access::Read)?;
-        let data = match &mount.resilience {
-            Some(st) => self.resilient_get(
-                &trace,
-                st,
-                &mount.backend,
-                &parsed.project,
-                &parsed.key,
-            )?,
-            None => mount.backend.get(&trace, &parsed.key)?,
-        }
-        .into_bytes();
+        let data = mount.backend.get(&trace, &parsed.key)?.into_bytes();
         self.ops.gets.inc();
         self.ops.get_bytes.record(data.len() as u64);
         self.project_op(&parsed.project, mount.backend.kind(), "get");
@@ -772,21 +457,12 @@ impl Adal {
         Ok(data)
     }
 
-    /// Metadata for an object (degrades like [`Adal::get`]).
+    /// Metadata for an object.
     pub fn stat(&self, cred: &Credential, path: &str) -> Result<EntryMeta, AdalError> {
         let trace = self.trace_root(names::ADAL_STAT_SPAN, path);
         let span = self.obs.span(&self.ops.stat_latency);
         let (mount, parsed) = self.resolve(cred, path, Access::Read)?;
-        let meta = match &mount.resilience {
-            Some(st) => self.resilient_stat(
-                &trace,
-                st,
-                &mount.backend,
-                &parsed.project,
-                &parsed.key,
-            )?,
-            None => mount.backend.stat(&trace, &parsed.key)?,
-        };
+        let meta = mount.backend.stat(&trace, &parsed.key)?;
         self.ops.stats.inc();
         self.project_op(&parsed.project, mount.backend.kind(), "stat");
         let dt = span.finish();
@@ -797,23 +473,13 @@ impl Adal {
 
     /// Lists keys under `lsdf://project/prefix` (the prefix may be empty
     /// to list a whole project). Backend listing failures surface as
-    /// [`AdalError::Backend`]. On a resilient mount the listing merges
-    /// journaled (acknowledged but not yet landed) writes.
+    /// [`AdalError::Backend`].
     pub fn list(&self, cred: &Credential, path: &str) -> Result<Vec<EntryMeta>, AdalError> {
         let trace = self.trace_root(names::ADAL_LIST_SPAN, path);
         let span = self.obs.span(&self.ops.list_latency);
         let (mount, parsed) =
             self.resolve_parsed(cred, LsdfPath::parse_prefix(path)?, Access::Read)?;
-        let entries = match &mount.resilience {
-            Some(st) => self.resilient_list(
-                &trace,
-                st,
-                &mount.backend,
-                &parsed.project,
-                &parsed.key,
-            )?,
-            None => mount.backend.list(&trace, &parsed.key)?,
-        };
+        let entries = mount.backend.list(&trace, &parsed.key)?;
         self.ops.lists.inc();
         self.project_op(&parsed.project, mount.backend.kind(), "list");
         let dt = span.finish();
@@ -822,416 +488,40 @@ impl Adal {
         Ok(entries)
     }
 
-    /// Deletes an object (requires write access). On a resilient mount a
-    /// delete first cancels any journaled write for the key.
+    /// Deletes an object (requires write access).
     pub fn delete(&self, cred: &Credential, path: &str) -> Result<(), AdalError> {
         let trace = self.trace_root(names::ADAL_DELETE_SPAN, path);
         let (mount, parsed) = self.resolve(cred, path, Access::Write)?;
-        match &mount.resilience {
-            Some(st) => self.resilient_delete(
-                &trace,
-                st,
-                &mount.backend,
-                &parsed.project,
-                &parsed.key,
-            )?,
-            None => mount.backend.delete(&trace, &parsed.key)?,
-        }
+        mount.backend.delete(&trace, &parsed.key)?;
         self.ops.deletes.inc();
         self.project_op(&parsed.project, mount.backend.kind(), "delete");
         trace.finish();
         Ok(())
     }
 
-    // ----- resilient operation paths -------------------------------------
-
-    fn resilient_put(
-        &self,
-        ctx: &TraceCtx,
-        st: &ResilientState,
-        backend: &Arc<dyn StorageBackend>,
-        project: &str,
-        key: &str,
-        data: Payload,
-    ) -> Result<(), BackendError> {
-        // Write-once applies to acknowledged-but-unlanded writes too.
-        if st.journal.lookup(key).is_some() {
-            return Err(BackendError::AlreadyExists(key.to_string()));
-        }
-        if !st.acquire(&self.obs, ctx, project) {
-            return self.journal_put(ctx, st, project, key, data);
-        }
-        // No hashing here: read-back verification compares payload
-        // content directly, and the catalog/object-store digest is
-        // memoized on the shared handle.
-        // Both legs' child spans are reserved here, serially and in a
-        // fixed order, BEFORE any parallel hand-off: the trace tree is
-        // therefore identical at every worker count.
-        let primary_ctx = ctx.child(names::ADAL_PRIMARY_PUT_SPAN);
-        let replica_ctx = if st.replica.is_some() {
-            ctx.child(names::ADAL_REPLICA_PUT_SPAN)
-        } else {
-            TraceCtx::disabled()
-        };
-        let primary = match (&st.replica, self.pool.is_parallel()) {
-            // Parallel fan-out: the replica leg shares the payload
-            // handle (refcount bump, shared digest cell) and streams
-            // concurrently with the primary's verified write.
-            (Some(rep), true) => {
-                let (primary, replica) = self.pool.join(
-                    || {
-                        let out = st.with_retries(&self.obs, &primary_ctx, project, |actx| {
-                            st.put_verified(actx, backend, key, &data)
-                        });
-                        primary_ctx.finish();
-                        out
-                    },
-                    || {
-                        // lint: allow(payload_copy) -- Payload handle clone: refcount bump
-                        let out = rep.put(&replica_ctx, key, data.clone());
-                        replica_ctx.finish();
-                        out
-                    },
-                );
-                match (&primary, replica) {
-                    // Same best-effort accounting as the serial
-                    // replicate() path.
-                    (Ok(()), Err(_)) => st.metrics.replica_write_failures.inc(),
-                    // The primary write failed: withdraw the speculative
-                    // replica copy so failover reads and the journal's
-                    // replica-side write-once check cannot observe an
-                    // unacknowledged write.
-                    (Err(_), Ok(())) => {
-                        let _ = rep.delete(ctx, key);
-                    }
-                    _ => {}
-                }
-                primary
-            }
-            _ => {
-                let out = st.with_retries(&self.obs, &primary_ctx, project, |actx| {
-                    st.put_verified(actx, backend, key, &data)
-                });
-                primary_ctx.finish();
-                if out.is_ok() {
-                    st.replicate(&replica_ctx, key, &data);
-                }
-                replica_ctx.finish();
-                out
-            }
-        };
-        match primary {
-            Ok(()) => {
-                self.drain_step(ctx, st, backend, project);
-                Ok(())
-            }
-            // Retry budget spent on transient faults (or the breaker
-            // opened): degrade to the journal rather than bounce the
-            // experiment's data.
-            Err(e) if e.is_transient() => self.journal_put(ctx, st, project, key, data),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Acknowledges a write into the redo journal (degraded-write path).
-    fn journal_put(
-        &self,
-        ctx: &TraceCtx,
-        st: &ResilientState,
-        project: &str,
-        key: &str,
-        data: Payload,
-    ) -> Result<(), BackendError> {
-        // The primary cannot be asked whether the key exists, but the
-        // replica holds a copy of every landed write: honour write-once
-        // as far as it can be checked.
-        if let Some(rep) = &st.replica {
-            if rep.exists(ctx, key) {
-                return Err(BackendError::AlreadyExists(key.to_string()));
-            }
-        }
-        if st.journal.push(key, data) {
-            st.metrics.journal_enqueued.inc();
-            st.sync_journal_gauges();
-            ctx.event(
-                names::ADAL_JOURNAL_ENQUEUE_EVENT,
-                &[("project", project), ("key", key)],
-            );
-            self.obs
-                .event(names::ADAL_JOURNAL_ENQUEUE_EVENT, &[("project", project), ("key", key)]);
-            Ok(())
-        } else {
-            // A full journal must NOT acknowledge: that would risk data
-            // loss the caller never hears about.
-            Err(BackendError::NoSpace(format!(
-                "redo journal for '{project}' is full"
-            )))
-        }
-    }
-
-    fn resilient_get(
-        &self,
-        ctx: &TraceCtx,
-        st: &ResilientState,
-        backend: &Arc<dyn StorageBackend>,
-        project: &str,
-        key: &str,
-    ) -> Result<Payload, BackendError> {
-        // Read-your-writes for journaled, acknowledged writes.
-        if let Some(data) = st.journal.lookup(key) {
-            return Ok(data);
-        }
-        if st.acquire(&self.obs, ctx, project) {
-            match st.with_retries(&self.obs, ctx, project, |actx| backend.get(actx, key)) {
-                Ok(data) => {
-                    self.drain_step(ctx, st, backend, project);
-                    return Ok(data);
-                }
-                Err(e) if e.is_transient() => { /* fall over to the replica */ }
-                Err(e) => return Err(e),
-            }
-        }
-        self.failover_read(ctx, st, project, key, |rep| rep.get(ctx, key))
-    }
-
-    fn resilient_stat(
-        &self,
-        ctx: &TraceCtx,
-        st: &ResilientState,
-        backend: &Arc<dyn StorageBackend>,
-        project: &str,
-        key: &str,
-    ) -> Result<EntryMeta, BackendError> {
-        if let Some(data) = st.journal.lookup(key) {
-            return Ok(EntryMeta {
-                key: key.to_string(),
-                size: data.len() as u64,
-            });
-        }
-        if st.acquire(&self.obs, ctx, project) {
-            match st.with_retries(&self.obs, ctx, project, |actx| backend.stat(actx, key)) {
-                Ok(meta) => return Ok(meta),
-                Err(e) if e.is_transient() => {}
-                Err(e) => return Err(e),
-            }
-        }
-        self.failover_read(ctx, st, project, key, |rep| rep.stat(ctx, key))
-    }
-
-    fn resilient_list(
-        &self,
-        ctx: &TraceCtx,
-        st: &ResilientState,
-        backend: &Arc<dyn StorageBackend>,
-        project: &str,
-        prefix: &str,
-    ) -> Result<Vec<EntryMeta>, BackendError> {
-        let landed = if st.acquire(&self.obs, ctx, project) {
-            match st.with_retries(&self.obs, ctx, project, |actx| backend.list(actx, prefix)) {
-                Ok(entries) => Ok(entries),
-                Err(e) if e.is_transient() => {
-                    self.failover_read(ctx, st, project, prefix, |rep| rep.list(ctx, prefix))
-                }
-                Err(e) => Err(e),
-            }
-        } else {
-            self.failover_read(ctx, st, project, prefix, |rep| rep.list(ctx, prefix))
-        }?;
-        // Merge acknowledged journal entries; the journal wins on key
-        // collisions (it is the newer acknowledged state).
-        let mut out: Vec<EntryMeta> = st
-            .journal
-            .entries_under(prefix)
-            .into_iter()
-            .map(|(key, size)| EntryMeta { key, size })
-            .collect();
-        let journaled: std::collections::HashSet<String> =
-            out.iter().map(|e| e.key.clone()).collect();
-        out.extend(landed.into_iter().filter(|e| !journaled.contains(&e.key)));
-        out.sort_by(|a, b| a.key.cmp(&b.key));
-        Ok(out)
-    }
-
-    fn resilient_delete(
-        &self,
-        ctx: &TraceCtx,
-        st: &ResilientState,
-        backend: &Arc<dyn StorageBackend>,
-        project: &str,
-        key: &str,
-    ) -> Result<(), BackendError> {
-        // A journaled write never reached the primary or the replica:
-        // cancelling it completes the delete.
-        if st.journal.remove(key).is_some() {
-            st.sync_journal_gauges();
-            return Ok(());
-        }
-        if !st.acquire(&self.obs, ctx, project) {
-            return Err(BackendError::Unavailable(format!(
-                "backend for '{project}' is cooling down (breaker open)"
-            )));
-        }
-        st.with_retries(&self.obs, ctx, project, |actx| backend.delete(actx, key))?;
-        if let Some(rep) = &st.replica {
-            // Best effort: the replica copy may or may not exist.
-            let _ = rep.delete(ctx, key);
-        }
-        self.drain_step(ctx, st, backend, project);
-        Ok(())
-    }
-
-    /// Serves a read from the replica, counting the failover.
-    fn failover_read<T>(
-        &self,
-        ctx: &TraceCtx,
-        st: &ResilientState,
-        project: &str,
-        key: &str,
-        read: impl FnOnce(&Arc<dyn StorageBackend>) -> Result<T, BackendError>,
-    ) -> Result<T, BackendError> {
-        let Some(rep) = &st.replica else {
-            return Err(BackendError::Unavailable(format!(
-                "backend for '{project}' is unavailable and no replica is mounted"
-            )));
-        };
-        let out = read(rep)?;
-        st.metrics.failover_reads.inc();
-        ctx.event(
-            names::ADAL_FAILOVER_READ_EVENT,
-            &[("project", project), ("key", key)],
-        );
-        self.obs
-            .event(names::ADAL_FAILOVER_READ_EVENT, &[("project", project), ("key", key)]);
-        Ok(out)
-    }
-
-    /// Drains the redo journal while the breaker allows it. Called after
-    /// successful operations and by [`Adal::drain_journal`]; each landed
-    /// entry is verified and replicated like a live put.
-    fn drain_step(
-        &self,
-        ctx: &TraceCtx,
-        st: &ResilientState,
-        backend: &Arc<dyn StorageBackend>,
-        project: &str,
-    ) -> usize {
-        let mut drained = 0;
-        loop {
-            if st.journal.depth() == 0 || !st.acquire(&self.obs, ctx, project) {
-                break;
-            }
-            let Some((key, data)) = st.journal.pop() else { break };
-            // Zero hashes per journal entry: the landing attempt, the
-            // conflict comparison, and the repair re-put all compare
-            // payload content directly.
-            match st.with_retries(&self.obs, ctx, project, |actx| {
-                st.put_verified(actx, backend, &key, &data)
-            }) {
-                Ok(()) => {
-                    drained += 1;
-                    st.metrics.journal_drained.inc();
-                    st.replicate(ctx, &key, &data);
-                    self.obs
-                        .event(names::ADAL_JOURNAL_DRAIN_LOG_EVENT, &[("project", project), ("key", &key)]);
-                }
-                Err(BackendError::AlreadyExists(_)) => {
-                    // The key landed before the outage. Equal payload:
-                    // the drain is a no-op. Different payload: the
-                    // journal holds the acknowledged write — repair the
-                    // primary (covers torn residue left by a failed
-                    // verify cleanup).
-                    match backend.get(ctx, &key) {
-                        Ok(existing) if existing.content_eq(&data) => {
-                            drained += 1;
-                            st.metrics.journal_drained.inc();
-                        }
-                        _ => {
-                            st.metrics.journal_conflicts.inc();
-                            self.obs.event(
-                                names::ADAL_JOURNAL_CONFLICT_LOG_EVENT,
-                                &[("project", project), ("key", &key)],
-                            );
-                            let _ = backend.delete(ctx, &key);
-                            match st.with_retries(&self.obs, ctx, project, |actx| {
-                                st.put_verified(actx, backend, &key, &data)
-                            }) {
-                                Ok(()) => {
-                                    drained += 1;
-                                    st.metrics.journal_drained.inc();
-                                    st.replicate(ctx, &key, &data);
-                                }
-                                Err(_) => {
-                                    st.journal.requeue_front(key, data);
-                                    st.sync_journal_gauges();
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                }
-                // Transient exhaustion or the disk filling up: keep the
-                // entry and stop this pass.
-                Err(e) if e.is_transient() || matches!(e, BackendError::NoSpace(_)) => {
-                    st.journal.requeue_front(key, data);
-                    st.sync_journal_gauges();
-                    break;
-                }
-                Err(_) => {
-                    // Deterministic refusal (e.g. Unsupported): the entry
-                    // can never land — drop it as a conflict rather than
-                    // wedge the journal forever.
-                    st.metrics.journal_conflicts.inc();
-                    self.obs.event(
-                        names::ADAL_JOURNAL_CONFLICT_LOG_EVENT,
-                        &[("project", project), ("key", &key)],
-                    );
-                }
-            }
-        }
-        if drained > 0 {
-            st.sync_journal_gauges();
-        }
-        drained
-    }
-
     /// Explicitly drains a project's redo journal (e.g. from a recovery
     /// loop after an outage ends). Returns entries landed. Plain mounts
     /// and unknown projects drain nothing.
     pub fn drain_journal(&self, project: &str) -> usize {
-        let mount = { self.mounts.read().get(project).cloned() };
-        match mount {
-            Some(Mount {
-                backend,
-                resilience: Some(st),
-            }) => {
-                let trace = self.trace_root(names::ADAL_DRAIN_SPAN, project);
-                let drained = self.drain_step(&trace, &st, &backend, project);
-                if trace.is_enabled() {
-                    trace.add_field("drained", &drained.to_string());
-                }
-                trace.finish();
-                drained
-            }
-            _ => 0,
+        let Some(resilient) = self.mounts.read().get(project).and_then(|m| m.resilient.clone())
+        else {
+            return 0;
+        };
+        let trace = self.trace_root(names::ADAL_DRAIN_SPAN, project);
+        let drained = resilient.drain(&trace);
+        if trace.is_enabled() {
+            trace.add_field("drained", &drained.to_string());
         }
+        trace.finish();
+        drained
     }
 
     /// Point-in-time health of one project's mount. Plain mounts report
     /// a closed breaker and an empty journal.
     pub fn health(&self, project: &str) -> Option<HealthReport> {
         let mount = { self.mounts.read().get(project).cloned() }?;
-        Some(match &mount.resilience {
-            Some(st) => HealthReport {
-                project: project.to_string(),
-                backend: mount.backend.kind(),
-                breaker: st.breaker.state(),
-                failure_rate: st.breaker.failure_rate(),
-                has_replica: st.replica.is_some(),
-                journal_depth: st.journal.depth(),
-                journal_bytes: st.journal.bytes(),
-                retries: st.metrics.retries.get(),
-                failover_reads: st.metrics.failover_reads.get(),
-            },
+        Some(match &mount.resilient {
+            Some(resilient) => resilient.health(),
             None => HealthReport {
                 project: project.to_string(),
                 backend: mount.backend.kind(),
@@ -1336,8 +626,15 @@ impl AdalBuilder {
             .workers
             .map(WorkerPool::new)
             .unwrap_or_else(WorkerPool::from_env);
-        let mut adal = Adal::with_pool(auth, acl, registry, pool);
-        adal.tracer = self.tracer;
+        let adal = Adal {
+            auth,
+            acl,
+            mounts: RwLock::new(HashMap::new()),
+            ops: OpMetrics::new(&registry),
+            obs: registry,
+            pool,
+            tracer: self.tracer,
+        };
         for (project, backend) in self.mounts {
             adal.mount(&project, backend);
         }
@@ -1357,7 +654,7 @@ mod tests {
         let acl = Arc::new(Acl::new());
         acl.grant("garcia", "zebrafish", true);
         acl.grant("garcia", "katrin", false); // read-only
-        let adal = Adal::new(auth, acl);
+        let adal = Adal::builder().auth(auth).acl(acl).workers(1).build();
         adal.mount(
             "zebrafish",
             Arc::new(ObjectStoreBackend::new(Arc::new(ObjectStore::new(
@@ -1498,7 +795,8 @@ mod tests {
 
     // ----- resilience ----------------------------------------------------
 
-    use crate::resilience::BreakerConfig;
+    use crate::resilience::{BreakerConfig, RetryPolicy};
+    use parking_lot::Mutex;
 
     /// Test double: an object store whose next N primary calls fail with
     /// a transient error, and whose next M puts are torn (stored
@@ -1594,7 +892,12 @@ mod tests {
         acl.grant("garcia", "anka", true);
         let reg = Arc::new(Registry::new());
         reg.set_virtual_time_ns(1);
-        let adal = Adal::with_registry(auth, acl, reg);
+        let adal = Adal::builder()
+            .auth(auth)
+            .acl(acl)
+            .registry(reg)
+            .workers(1)
+            .build();
         let primary = ScriptedBackend::new(name);
         let replica: Arc<dyn StorageBackend> = Arc::new(ObjectStoreBackend::new(Arc::new(
             ObjectStore::new("replica", u64::MAX),
@@ -1635,7 +938,7 @@ mod tests {
         let (adal, cred, primary, _) = resilient_setup("p2");
         primary.tear_next(1);
         adal.put(&cred, "lsdf://anka/run/f1", b("payload")).unwrap();
-        // The torn first copy was detected via read-back checksum,
+        // The torn first copy was detected by the read-back comparison,
         // deleted, and the retry landed the intact payload.
         assert_eq!(adal.get(&cred, "lsdf://anka/run/f1").unwrap(), b("payload"));
         let reg = adal.obs();
@@ -1728,7 +1031,12 @@ mod tests {
         acl.grant("garcia", "anka", true);
         let reg = Arc::new(Registry::new());
         reg.set_virtual_time_ns(1);
-        let adal = Adal::with_registry(auth, acl, reg);
+        let adal = Adal::builder()
+            .auth(auth)
+            .acl(acl)
+            .registry(reg)
+            .workers(1)
+            .build();
         let primary = ScriptedBackend::new("p4");
         let cfg = ResilienceConfig {
             retry: RetryPolicy::new(2, 100, 1_000, 0),

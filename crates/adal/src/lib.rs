@@ -13,9 +13,10 @@
 //! * [`Adal`] — the mount registry tying it together, recording the
 //!   per-operation registry metrics used by the overhead experiment (E9);
 //! * [`RetryPolicy`] / [`CircuitBreaker`] / [`RedoJournal`] — the
-//!   resilience machinery behind [`Adal::mount_resilient`]: bounded
-//!   retries for transient faults, a per-backend breaker, replica
-//!   failover reads and journaled degraded writes.
+//!   resilience machinery that [`Adal::mount_resilient`] wraps around a
+//!   primary backend as one more [`StorageBackend`]: bounded retries for
+//!   transient faults, a per-backend breaker, read-back verification,
+//!   replica failover reads and journaled degraded writes.
 
 #![warn(missing_docs)]
 

@@ -1,6 +1,9 @@
 //! Resilience machinery for the ADAL: bounded-backoff retries, a
-//! per-backend circuit breaker, and the redo journal behind degraded
-//! writes.
+//! per-backend circuit breaker, the redo journal behind degraded
+//! writes, and `ResilientBackend`, the [`StorageBackend`] decorator
+//! that combines them with read-back verification, replica fan-out and
+//! failover reads. [`crate::Adal::mount_resilient`] mounts it like any
+//! other backend, so the layer itself has one code path per operation.
 //!
 //! The facility ingests around the clock (zebrafish screens, sequencers,
 //! KATRIN), so a disk array rebooting or a DFS datanode flapping must be
@@ -11,11 +14,17 @@
 //! clock) is bit-identical across executions.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
+use parking_lot::Mutex;
+
+use lsdf_obs::{names, Counter, Gauge, Histogram, Registry, TraceCtx};
+use lsdf_pool::WorkerPool;
+use lsdf_sim::SimRng;
 use lsdf_storage::Payload;
 use lsdf_sync::{ranks, OrderedMutex};
 
-use lsdf_sim::SimRng;
+use crate::backend::{BackendError, EntryMeta, StorageBackend};
 
 /// Retry policy: bounded exponential backoff with additive jitter.
 ///
@@ -405,6 +414,9 @@ impl RedoJournal {
     }
 }
 
+/// Redo-journal byte bound of every resilient mount.
+const JOURNAL_BYTES: u64 = 64 * 1024 * 1024;
+
 /// Configuration for a resilient mount
 /// ([`crate::Adal::mount_resilient`]).
 #[derive(Clone)]
@@ -413,12 +425,8 @@ pub struct ResilienceConfig {
     pub retry: RetryPolicy,
     /// Circuit-breaker tuning.
     pub breaker: BreakerConfig,
-    /// Redo-journal entry bound.
+    /// Redo-journal entry bound (the byte bound is fixed at 64 MiB).
     pub journal_entries: usize,
-    /// Redo-journal byte bound.
-    pub journal_bytes: u64,
-    /// Read every put back and compare digests (torn-write detection).
-    pub verify_writes: bool,
     /// Master seed for the jitter stream (stream name = project).
     pub seed: u64,
 }
@@ -429,8 +437,6 @@ impl Default for ResilienceConfig {
             retry: RetryPolicy::default(),
             breaker: BreakerConfig::default(),
             journal_entries: 1024,
-            journal_bytes: 64 * 1024 * 1024,
-            verify_writes: true,
             seed: 42,
         }
     }
@@ -458,6 +464,572 @@ pub struct HealthReport {
     pub retries: u64,
     /// Reads served from the replica so far.
     pub failover_reads: u64,
+}
+
+/// Cached per-project registry handles for the resilience machinery.
+struct ResilienceMetrics {
+    retries: Counter,
+    transient_observed: Counter,
+    retry_exhausted: Counter,
+    failover_reads: Counter,
+    journal_enqueued: Counter,
+    journal_drained: Counter,
+    journal_conflicts: Counter,
+    verify_failures: Counter,
+    replica_write_failures: Counter,
+    breaker_to_open: Counter,
+    breaker_to_half_open: Counter,
+    breaker_to_closed: Counter,
+    breaker_state: Gauge,
+    journal_depth: Gauge,
+    journal_bytes: Gauge,
+    backoff_ns: Histogram,
+}
+
+impl ResilienceMetrics {
+    fn new(reg: &Registry, project: &str) -> Self {
+        let labels: [(&str, &str); 1] = [("project", project)];
+        let transition =
+            |to| reg.counter(names::ADAL_BREAKER_TRANSITIONS_TOTAL, &[("project", project), ("to", to)]);
+        ResilienceMetrics {
+            retries: reg.counter(names::ADAL_RETRIES_TOTAL, &labels),
+            transient_observed: reg.counter(names::ADAL_TRANSIENT_OBSERVED_TOTAL, &labels),
+            retry_exhausted: reg.counter(names::ADAL_RETRY_EXHAUSTED_TOTAL, &labels),
+            failover_reads: reg.counter(names::ADAL_FAILOVER_READS_TOTAL, &labels),
+            journal_enqueued: reg.counter(names::ADAL_JOURNAL_ENQUEUED_TOTAL, &labels),
+            journal_drained: reg.counter(names::ADAL_JOURNAL_DRAINED_TOTAL, &labels),
+            journal_conflicts: reg.counter(names::ADAL_JOURNAL_CONFLICTS_TOTAL, &labels),
+            verify_failures: reg.counter(names::ADAL_WRITE_VERIFY_FAILURES_TOTAL, &labels),
+            replica_write_failures: reg.counter(names::ADAL_REPLICA_WRITE_FAILURES_TOTAL, &labels),
+            breaker_to_open: transition("open"),
+            breaker_to_half_open: transition("half_open"),
+            breaker_to_closed: transition("closed"),
+            breaker_state: reg.gauge(names::ADAL_BREAKER_STATE, &labels),
+            journal_depth: reg.gauge(names::ADAL_JOURNAL_DEPTH, &labels),
+            journal_bytes: reg.gauge(names::ADAL_JOURNAL_BYTES, &labels),
+            backoff_ns: reg.histogram(names::ADAL_RETRY_BACKOFF_NS, &labels),
+        }
+    }
+}
+
+/// The resilience stack as a [`StorageBackend`] decorator over one
+/// project's primary backend (and optional replica), built and mounted
+/// by [`crate::Adal::mount_resilient`] like any other backend:
+///
+/// * transient errors are retried under a [`RetryPolicy`];
+/// * a [`CircuitBreaker`] stops hammering a failing primary and probes
+///   it half-open after a cool-down;
+/// * while the breaker is open, reads fail over to the replica and
+///   writes are acknowledged into a bounded [`RedoJournal`] that drains
+///   back to the primary on recovery;
+/// * every put is read back and compared with the source payload
+///   (torn-write detection).
+///
+/// It commits eagerly, so the default `stage_put` (put, then
+/// [`StagedPut::Committed`]) is exact for it.
+///
+/// [`StagedPut::Committed`]: crate::StagedPut::Committed
+pub(crate) struct ResilientBackend {
+    project: String,
+    primary: Arc<dyn StorageBackend>,
+    replica: Option<Arc<dyn StorageBackend>>,
+    policy: RetryPolicy,
+    breaker: CircuitBreaker,
+    journal: RedoJournal,
+    rng: Mutex<SimRng>,
+    metrics: ResilienceMetrics,
+    obs: Arc<Registry>,
+    pool: WorkerPool,
+}
+
+impl ResilientBackend {
+    /// Wraps `primary` (and `replica`) for `project`, recording into
+    /// `obs` and fanning replica writes out over `pool`. The breaker
+    /// starts closed and the journal empty.
+    pub(crate) fn new(
+        project: &str,
+        primary: Arc<dyn StorageBackend>,
+        replica: Option<Arc<dyn StorageBackend>>,
+        cfg: ResilienceConfig,
+        obs: Arc<Registry>,
+        pool: WorkerPool,
+    ) -> Self {
+        let metrics = ResilienceMetrics::new(&obs, project);
+        metrics.breaker_state.set(BreakerState::Closed.as_gauge());
+        ResilientBackend {
+            project: project.to_string(),
+            primary,
+            replica,
+            breaker: CircuitBreaker::new(cfg.breaker),
+            journal: RedoJournal::new(cfg.journal_entries, JOURNAL_BYTES),
+            rng: Mutex::new(SimRng::seed_from_u64(cfg.seed).stream(project)),
+            policy: cfg.retry,
+            metrics,
+            obs,
+            pool,
+        }
+    }
+
+    /// Publishes a breaker transition to counters, the state gauge, the
+    /// event ring, and — when a trace is live — the causal trace.
+    fn note_transition(&self, ctx: &TraceCtx, t: BreakerTransition) {
+        match t.to {
+            BreakerState::Open => self.metrics.breaker_to_open.inc(),
+            BreakerState::HalfOpen => self.metrics.breaker_to_half_open.inc(),
+            BreakerState::Closed => self.metrics.breaker_to_closed.inc(),
+        }
+        self.metrics.breaker_state.set(t.to.as_gauge());
+        let fields = [
+            ("project", self.project.as_str()),
+            ("from", t.from.name()),
+            ("to", t.to.name()),
+        ];
+        ctx.event(names::ADAL_BREAKER_TRANSITION_EVENT, &fields);
+        self.obs.event(names::ADAL_BREAKER_LOG_EVENT, &fields);
+    }
+
+    /// Asks the breaker for permission to call the primary.
+    fn acquire(&self, ctx: &TraceCtx) -> bool {
+        let (ok, t) = self.breaker.try_acquire(self.obs.now_ns());
+        if let Some(t) = t {
+            self.note_transition(ctx, t);
+        }
+        ok
+    }
+
+    /// Records a call outcome in the breaker.
+    fn record(&self, ctx: &TraceCtx, success: bool) {
+        if let Some(t) = self.breaker.record(self.obs.now_ns(), success) {
+            self.note_transition(ctx, t);
+        }
+    }
+
+    /// Mirrors the journal bounds into the depth/bytes gauges.
+    fn sync_journal_gauges(&self) {
+        self.metrics.journal_depth.set(self.journal.depth() as i64);
+        self.metrics.journal_bytes.set(self.journal.bytes() as i64);
+    }
+
+    /// Runs `call` under the retry policy: transient errors are retried
+    /// with recorded (not slept) backoff until the attempt budget is
+    /// spent or the breaker leaves the closed state; deterministic
+    /// errors return immediately and count as backend-healthy.
+    ///
+    /// Each attempt runs inside its own `adal_attempt` child span of
+    /// `ctx`; retries and exhaustion are mirrored onto the trace as
+    /// events next to their counters.
+    ///
+    /// Counter identity, asserted by the chaos soak:
+    /// `adal_transient_observed_total ==
+    ///  adal_retries_total + adal_retry_exhausted_total`.
+    fn with_retries<T>(
+        &self,
+        ctx: &TraceCtx,
+        mut call: impl FnMut(&TraceCtx) -> Result<T, BackendError>,
+    ) -> Result<T, BackendError> {
+        let mut attempt: u32 = 0;
+        loop {
+            let attempt_span = ctx.child(names::ADAL_ATTEMPT_SPAN);
+            if attempt_span.is_enabled() {
+                attempt_span.add_field("attempt", &attempt.to_string());
+            }
+            let out = call(&attempt_span);
+            attempt_span.finish();
+            match out {
+                Ok(v) => {
+                    self.record(ctx, true);
+                    return Ok(v);
+                }
+                Err(e) if e.is_transient() => {
+                    self.metrics.transient_observed.inc();
+                    self.record(ctx, false);
+                    let out_of_attempts = attempt + 1 >= self.policy.max_attempts;
+                    // A breaker our own failures just opened must not be
+                    // hammered by the rest of the retry budget.
+                    if out_of_attempts || self.breaker.state() == BreakerState::Open {
+                        self.metrics.retry_exhausted.inc();
+                        ctx.event(names::ADAL_RETRY_EXHAUSTED_EVENT, &[("project", &self.project)]);
+                        return Err(e);
+                    }
+                    let delay = self.policy.delay_ns(attempt, &mut self.rng.lock());
+                    self.metrics.backoff_ns.record(delay);
+                    self.metrics.retries.inc();
+                    if ctx.is_enabled() {
+                        ctx.event(
+                            names::ADAL_RETRY_EVENT,
+                            &[("project", &self.project), ("delay_ns", &delay.to_string())],
+                        );
+                    }
+                    attempt += 1;
+                }
+                Err(e) => {
+                    // The backend answered authoritatively: it is healthy,
+                    // the request is just wrong (NotFound, AlreadyExists…).
+                    self.record(ctx, true);
+                    return Err(e);
+                }
+            }
+        }
+    }
+
+    /// One put attempt on the primary with read-back verification. The
+    /// read-back is compared against the source payload with
+    /// [`Payload::content_eq`] — an identical shared buffer verifies in
+    /// O(1), a substituted (torn) buffer fails the byte comparison, and
+    /// neither side is hashed. A mismatch removes the bad copy and
+    /// reports [`BackendError::Integrity`] so the retry loop redoes the
+    /// transfer.
+    fn put_verified(&self, ctx: &TraceCtx, key: &str, data: &Payload) -> Result<(), BackendError> {
+        // lint: allow(payload_copy) -- Payload handle clone: refcount bump
+        self.primary.put(ctx, key, data.clone())?;
+        match self.primary.get(ctx, key) {
+            Ok(back) if back.content_eq(data) => Ok(()),
+            Ok(_) => {
+                self.metrics.verify_failures.inc();
+                let _ = self.primary.delete(ctx, key);
+                Err(BackendError::Integrity(format!(
+                    "write verification failed for '{key}'"
+                )))
+            }
+            Err(e) => {
+                // Could not read our own write back: clean up and let the
+                // retry loop redo the transfer.
+                let _ = self.primary.delete(ctx, key);
+                if e.is_transient() {
+                    Err(e)
+                } else {
+                    Err(BackendError::Integrity(format!(
+                        "write verification read-back failed for '{key}': {e}"
+                    )))
+                }
+            }
+        }
+    }
+
+    /// Best-effort copy of a successful write onto the replica. The
+    /// clone is a refcount bump sharing one payload handle (and its
+    /// memoized digest) with the primary copy.
+    fn replicate(&self, ctx: &TraceCtx, key: &str, data: &Payload) {
+        if let Some(rep) = &self.replica {
+            // lint: allow(payload_copy) -- Payload handle clone: refcount bump
+            if rep.put(ctx, key, data.clone()).is_err() {
+                self.metrics.replica_write_failures.inc();
+            }
+        }
+    }
+
+    /// Acknowledges a write into the redo journal (degraded-write path).
+    fn journal_put(&self, ctx: &TraceCtx, key: &str, data: Payload) -> Result<(), BackendError> {
+        // The primary cannot be asked whether the key exists, but the
+        // replica holds a copy of every landed write: honour write-once
+        // as far as it can be checked.
+        if let Some(rep) = &self.replica {
+            if rep.exists(ctx, key) {
+                return Err(BackendError::AlreadyExists(key.to_string()));
+            }
+        }
+        if self.journal.push(key, data) {
+            self.metrics.journal_enqueued.inc();
+            self.sync_journal_gauges();
+            let fields = [("project", self.project.as_str()), ("key", key)];
+            ctx.event(names::ADAL_JOURNAL_ENQUEUE_EVENT, &fields);
+            self.obs.event(names::ADAL_JOURNAL_ENQUEUE_EVENT, &fields);
+            Ok(())
+        } else {
+            // A full journal must NOT acknowledge: that would risk data
+            // loss the caller never hears about.
+            Err(BackendError::NoSpace(format!(
+                "redo journal for '{}' is full",
+                self.project
+            )))
+        }
+    }
+
+    /// Serves a read from the replica, counting the failover.
+    fn failover_read<T>(
+        &self,
+        ctx: &TraceCtx,
+        key: &str,
+        read: impl FnOnce(&Arc<dyn StorageBackend>) -> Result<T, BackendError>,
+    ) -> Result<T, BackendError> {
+        let Some(rep) = &self.replica else {
+            return Err(BackendError::Unavailable(format!(
+                "backend for '{}' is unavailable and no replica is mounted",
+                self.project
+            )));
+        };
+        let out = read(rep)?;
+        self.metrics.failover_reads.inc();
+        let fields = [("project", self.project.as_str()), ("key", key)];
+        ctx.event(names::ADAL_FAILOVER_READ_EVENT, &fields);
+        self.obs.event(names::ADAL_FAILOVER_READ_EVENT, &fields);
+        Ok(out)
+    }
+
+    /// Drains the redo journal while the breaker allows it. Called after
+    /// successful operations and by [`crate::Adal::drain_journal`]; each
+    /// landed entry is verified and replicated like a live put. Returns
+    /// entries landed.
+    pub(crate) fn drain(&self, ctx: &TraceCtx) -> usize {
+        let mut drained = 0;
+        loop {
+            if self.journal.depth() == 0 || !self.acquire(ctx) {
+                break;
+            }
+            let Some((key, data)) = self.journal.pop() else { break };
+            let fields = [("project", self.project.as_str()), ("key", key.as_str())];
+            // Zero hashes per journal entry: the landing attempt, the
+            // conflict comparison, and the repair re-put all compare
+            // payload content directly.
+            match self.with_retries(ctx, |actx| self.put_verified(actx, &key, &data)) {
+                Ok(()) => {
+                    drained += 1;
+                    self.metrics.journal_drained.inc();
+                    self.replicate(ctx, &key, &data);
+                    self.obs.event(names::ADAL_JOURNAL_DRAIN_LOG_EVENT, &fields);
+                }
+                Err(BackendError::AlreadyExists(_)) => {
+                    // The key landed before the outage. Equal payload:
+                    // the drain is a no-op. Different payload: the
+                    // journal holds the acknowledged write — repair the
+                    // primary (covers torn residue left by a failed
+                    // verify cleanup).
+                    match self.primary.get(ctx, &key) {
+                        Ok(existing) if existing.content_eq(&data) => {
+                            drained += 1;
+                            self.metrics.journal_drained.inc();
+                        }
+                        _ => {
+                            self.metrics.journal_conflicts.inc();
+                            self.obs.event(names::ADAL_JOURNAL_CONFLICT_LOG_EVENT, &fields);
+                            let _ = self.primary.delete(ctx, &key);
+                            let repaired = self
+                                .with_retries(ctx, |actx| self.put_verified(actx, &key, &data));
+                            match repaired {
+                                Ok(()) => {
+                                    drained += 1;
+                                    self.metrics.journal_drained.inc();
+                                    self.replicate(ctx, &key, &data);
+                                }
+                                Err(_) => {
+                                    self.journal.requeue_front(key, data);
+                                    self.sync_journal_gauges();
+                                    break;
+                                }
+                            }
+                        }
+                    }
+                }
+                // Transient exhaustion or the disk filling up: keep the
+                // entry and stop this pass.
+                Err(e) if e.is_transient() || matches!(e, BackendError::NoSpace(_)) => {
+                    self.journal.requeue_front(key, data);
+                    self.sync_journal_gauges();
+                    break;
+                }
+                Err(_) => {
+                    // Deterministic refusal (e.g. Unsupported): the entry
+                    // can never land — drop it as a conflict rather than
+                    // wedge the journal forever.
+                    self.metrics.journal_conflicts.inc();
+                    self.obs.event(names::ADAL_JOURNAL_CONFLICT_LOG_EVENT, &fields);
+                }
+            }
+        }
+        if drained > 0 {
+            self.sync_journal_gauges();
+        }
+        drained
+    }
+
+    /// Point-in-time health of the mount.
+    pub(crate) fn health(&self) -> HealthReport {
+        HealthReport {
+            project: self.project.clone(),
+            backend: self.primary.kind(),
+            breaker: self.breaker.state(),
+            failure_rate: self.breaker.failure_rate(),
+            has_replica: self.replica.is_some(),
+            journal_depth: self.journal.depth(),
+            journal_bytes: self.journal.bytes(),
+            retries: self.metrics.retries.get(),
+            failover_reads: self.metrics.failover_reads.get(),
+        }
+    }
+}
+
+impl StorageBackend for ResilientBackend {
+    /// The primary's kind, so request classification and the `backend`
+    /// metric labels do not depend on resilience.
+    fn kind(&self) -> &'static str {
+        self.primary.kind()
+    }
+
+    fn put(&self, ctx: &TraceCtx, key: &str, data: Payload) -> Result<(), BackendError> {
+        // Write-once applies to acknowledged-but-unlanded writes too.
+        if self.journal.lookup(key).is_some() {
+            return Err(BackendError::AlreadyExists(key.to_string()));
+        }
+        if !self.acquire(ctx) {
+            return self.journal_put(ctx, key, data);
+        }
+        // No hashing here: read-back verification compares payload
+        // content directly, and the catalog/object-store digest is
+        // memoized on the shared handle.
+        // Both legs' child spans are reserved here, serially and in a
+        // fixed order, BEFORE any parallel hand-off: the trace tree is
+        // therefore identical at every worker count.
+        let primary_ctx = ctx.child(names::ADAL_PRIMARY_PUT_SPAN);
+        let replica_ctx = if self.replica.is_some() {
+            ctx.child(names::ADAL_REPLICA_PUT_SPAN)
+        } else {
+            TraceCtx::disabled()
+        };
+        let primary = match (&self.replica, self.pool.is_parallel()) {
+            // Parallel fan-out: the replica leg shares the payload
+            // handle (refcount bump, shared digest cell) and streams
+            // concurrently with the primary's verified write.
+            (Some(rep), true) => {
+                let (primary, replica) = self.pool.join(
+                    || {
+                        let out = self.with_retries(&primary_ctx, |actx| {
+                            self.put_verified(actx, key, &data)
+                        });
+                        primary_ctx.finish();
+                        out
+                    },
+                    || {
+                        // lint: allow(payload_copy) -- Payload handle clone: refcount bump
+                        let out = rep.put(&replica_ctx, key, data.clone());
+                        replica_ctx.finish();
+                        out
+                    },
+                );
+                match (&primary, replica) {
+                    // Same best-effort accounting as the serial
+                    // replicate() path.
+                    (Ok(()), Err(_)) => self.metrics.replica_write_failures.inc(),
+                    // The primary write failed: withdraw the speculative
+                    // replica copy so failover reads and the journal's
+                    // replica-side write-once check cannot observe an
+                    // unacknowledged write.
+                    (Err(_), Ok(())) => {
+                        let _ = rep.delete(ctx, key);
+                    }
+                    _ => {}
+                }
+                primary
+            }
+            _ => {
+                let out =
+                    self.with_retries(&primary_ctx, |actx| self.put_verified(actx, key, &data));
+                primary_ctx.finish();
+                if out.is_ok() {
+                    self.replicate(&replica_ctx, key, &data);
+                }
+                replica_ctx.finish();
+                out
+            }
+        };
+        match primary {
+            Ok(()) => {
+                self.drain(ctx);
+                Ok(())
+            }
+            // Retry budget spent on transient faults (or the breaker
+            // opened): degrade to the journal rather than bounce the
+            // experiment's data.
+            Err(e) if e.is_transient() => self.journal_put(ctx, key, data),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Journaled writes are readable immediately (read-your-writes),
+    /// transient faults are retried, and an open breaker fails the read
+    /// over to the replica.
+    fn get(&self, ctx: &TraceCtx, key: &str) -> Result<Payload, BackendError> {
+        if let Some(data) = self.journal.lookup(key) {
+            return Ok(data);
+        }
+        if self.acquire(ctx) {
+            match self.with_retries(ctx, |actx| self.primary.get(actx, key)) {
+                Ok(data) => {
+                    self.drain(ctx);
+                    return Ok(data);
+                }
+                Err(e) if e.is_transient() => { /* fall over to the replica */ }
+                Err(e) => return Err(e),
+            }
+        }
+        self.failover_read(ctx, key, |rep| rep.get(ctx, key))
+    }
+
+    fn stat(&self, ctx: &TraceCtx, key: &str) -> Result<EntryMeta, BackendError> {
+        if let Some(data) = self.journal.lookup(key) {
+            return Ok(EntryMeta {
+                key: key.to_string(),
+                size: data.len() as u64,
+            });
+        }
+        if self.acquire(ctx) {
+            match self.with_retries(ctx, |actx| self.primary.stat(actx, key)) {
+                Ok(meta) => return Ok(meta),
+                Err(e) if e.is_transient() => {}
+                Err(e) => return Err(e),
+            }
+        }
+        self.failover_read(ctx, key, |rep| rep.stat(ctx, key))
+    }
+
+    /// A journaled write never reached the primary or the replica:
+    /// cancelling it completes the delete.
+    fn delete(&self, ctx: &TraceCtx, key: &str) -> Result<(), BackendError> {
+        if self.journal.remove(key).is_some() {
+            self.sync_journal_gauges();
+            return Ok(());
+        }
+        if !self.acquire(ctx) {
+            return Err(BackendError::Unavailable(format!(
+                "backend for '{}' is cooling down (breaker open)",
+                self.project
+            )));
+        }
+        self.with_retries(ctx, |actx| self.primary.delete(actx, key))?;
+        if let Some(rep) = &self.replica {
+            // Best effort: the replica copy may or may not exist.
+            let _ = rep.delete(ctx, key);
+        }
+        self.drain(ctx);
+        Ok(())
+    }
+
+    /// The listing merges journaled (acknowledged but not yet landed)
+    /// writes; the journal wins on key collisions (it is the newer
+    /// acknowledged state).
+    fn list(&self, ctx: &TraceCtx, prefix: &str) -> Result<Vec<EntryMeta>, BackendError> {
+        let landed = if self.acquire(ctx) {
+            match self.with_retries(ctx, |actx| self.primary.list(actx, prefix)) {
+                Ok(entries) => Ok(entries),
+                Err(e) if e.is_transient() => {
+                    self.failover_read(ctx, prefix, |rep| rep.list(ctx, prefix))
+                }
+                Err(e) => Err(e),
+            }
+        } else {
+            self.failover_read(ctx, prefix, |rep| rep.list(ctx, prefix))
+        }?;
+        let mut out: Vec<EntryMeta> = self
+            .journal
+            .entries_under(prefix)
+            .into_iter()
+            .map(|(key, size)| EntryMeta { key, size })
+            .collect();
+        let journaled: std::collections::HashSet<String> =
+            out.iter().map(|e| e.key.clone()).collect();
+        out.extend(landed.into_iter().filter(|e| !journaled.contains(&e.key)));
+        out.sort_by(|a, b| a.key.cmp(&b.key));
+        Ok(out)
+    }
 }
 
 #[cfg(test)]

@@ -10,7 +10,8 @@ use lsdf_adal::{
 };
 use lsdf_admission::{AdmissionController, AdmissionError, Lane, QuotaSpec, Ticket};
 use lsdf_dfs::{ClusterTopology, Dfs, DfsConfig};
-use lsdf_durability::{ComponentDurability, DurabilityConfig, DurableStore};
+use lsdf_durability::{ComponentDurability, DurabilityConfig, DurableStore, RecoveryStats};
+use lsdf_metadata::export::json_string;
 use lsdf_metadata::{ProjectStore, Schema};
 use lsdf_obs::{
     facility_status, names, ConsoleInputs, FacilityHealth, Registry, SloMonitor, SloRule,
@@ -383,12 +384,25 @@ pub struct ComponentRecovery {
     pub component: String,
     /// A verified checkpoint was loaded as the replay base.
     pub snapshot_loaded: bool,
-    /// WAL records applied during replay.
+    /// WAL records read back and replayed (as counted by
+    /// `recovery_replayed_records_total`).
     pub replayed: u64,
-    /// WAL records skipped (effect already present).
+    /// Replayed records skipped (effect already present).
     pub skipped: u64,
     /// Log segments that ended in a torn (un-acked) frame.
     pub torn_tails: u64,
+}
+
+impl ComponentRecovery {
+    fn new(component: String, s: RecoveryStats) -> Self {
+        ComponentRecovery {
+            component,
+            snapshot_loaded: s.snapshot_loaded,
+            replayed: s.replayed,
+            skipped: s.skipped,
+            torn_tails: s.torn_tails,
+        }
+    }
 }
 
 /// Per-component recovery outcome of one kill-and-restart cycle.
@@ -416,8 +430,8 @@ impl RecoveryReport {
         let mut out = String::from("{\n  \"components\": [\n");
         for (i, c) in self.components.iter().enumerate() {
             out.push_str(&format!(
-                "    {{\"component\": \"{}\", \"snapshot_loaded\": {}, \"replayed\": {}, \"skipped\": {}, \"torn_tails\": {}}}{}\n",
-                c.component,
+                "    {{\"component\": {}, \"snapshot_loaded\": {}, \"replayed\": {}, \"skipped\": {}, \"torn_tails\": {}}}{}\n",
+                json_string(&c.component),
                 c.snapshot_loaded,
                 c.replayed,
                 c.skipped,
@@ -602,26 +616,14 @@ impl Facility {
             span.add_field("component", "dfs");
             let s = self.dfs.recover();
             span.finish();
-            components.push(ComponentRecovery {
-                component: "dfs".to_string(),
-                snapshot_loaded: s.snapshot_loaded,
-                replayed: s.replayed,
-                skipped: s.skipped,
-                torn_tails: s.torn_tails,
-            });
+            components.push(ComponentRecovery::new("dfs".to_string(), s));
         }
         for p in &projects {
             let span = root.child(names::RECOVERY_COMPONENT_SPAN);
             span.add_field("component", &format!("meta-{p}"));
             let s = self.stores[p].recover();
             span.finish();
-            components.push(ComponentRecovery {
-                component: format!("meta-{p}"),
-                snapshot_loaded: s.snapshot_loaded,
-                replayed: s.replayed,
-                skipped: s.skipped,
-                torn_tails: s.torn_tails,
-            });
+            components.push(ComponentRecovery::new(format!("meta-{p}"), s));
         }
         root.finish();
         RecoveryReport { components }
@@ -1065,6 +1067,74 @@ mod tests {
         store.insert(zf_ds("img-1", 2)).unwrap();
         assert_eq!(f.run_durability_reconciler(), 1, "metadata store crossed");
         assert_eq!(store.wal_records_since_checkpoint(), 0);
+    }
+
+    #[test]
+    fn recovery_stats_equal_the_registry_counter_deltas() {
+        let reg = Arc::new(Registry::new());
+        let f = Facility::builder()
+            .tenant(ProjectSpec::new(zebrafish_schema(), BackendChoice::Dfs))
+            .cluster(ClusterTopology::new(2, 2), DfsConfig {
+                block_size: 1024,
+                replication: 2,
+                ..DfsConfig::default()
+            })
+            .registry(reg.clone())
+            .durability(DurableStore::new(), DurabilityConfig::default())
+            .build()
+            .unwrap();
+        let admin = f.admin().clone();
+        let store = f.store("zebrafish-htm").unwrap();
+        for i in 0..5 {
+            f.adal()
+                .put(
+                    &admin,
+                    &format!("lsdf://zebrafish-htm/img-{i}"),
+                    bytes::Bytes::from(vec![i as u8; 16]),
+                )
+                .unwrap();
+            store.insert(zf_ds(&format!("img-{i}"), i)).unwrap();
+        }
+        let counters = |log: &str| {
+            let labels = [("log", log)];
+            (
+                reg.counter_value(names::RECOVERY_REPLAYED_RECORDS_TOTAL, &labels),
+                reg.counter_value(names::RECOVERY_SKIPPED_RECORDS_TOTAL, &labels),
+            )
+        };
+        // No crash in between: every record is read back and, its
+        // effect being present already, skipped — on both passes.
+        let logs = ["dfs", "meta-zebrafish-htm"];
+        for pass in 0..2 {
+            let before = logs.map(counters);
+            let stats = [f.dfs().recover(), store.recover()];
+            let after = logs.map(counters);
+            for (((log, s), b), a) in logs.iter().zip(stats).zip(before).zip(after) {
+                assert_eq!((s.replayed, s.skipped), (5, 5), "{log} pass {pass}");
+                assert_eq!((s.replayed, s.skipped), (a.0 - b.0, a.1 - b.1), "{log} pass {pass}");
+            }
+        }
+    }
+
+    #[test]
+    fn recovery_report_json_escapes_project_names() {
+        let schema = SchemaBuilder::new("a\"b")
+            .required("run", FieldType::Int)
+            .build()
+            .unwrap();
+        let f = Facility::builder()
+            .tenant(ProjectSpec::new(
+                schema,
+                BackendChoice::ObjectStore { capacity: u64::MAX },
+            ))
+            .durability(DurableStore::new(), DurabilityConfig::default())
+            .build()
+            .unwrap();
+        let json = f.crash_restart(7).to_json();
+        assert!(
+            json.contains(r#"{"component": "meta-a\"b", "#),
+            "project name must be escaped: {json}"
+        );
     }
 
     #[test]

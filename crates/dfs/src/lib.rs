@@ -24,6 +24,6 @@ mod wal;
 pub use cluster::{ClusterTopology, DfsNodeId, Locality, RackId};
 pub use datanode::{BlockId, DataNode, DataNodeError};
 pub use namenode::{
-    Dfs, DfsConfig, DfsError, DfsRecoveryStats, FileMeta, LocatedBlock, PlacementPolicy,
+    Dfs, DfsConfig, DfsError, FileMeta, LocatedBlock, PlacementPolicy,
     StagedFile,
 };

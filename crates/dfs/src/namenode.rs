@@ -20,7 +20,7 @@ use crate::cluster::{ClusterTopology, DfsNodeId, Locality};
 use crate::datanode::{BlockId, DataNode, DataNodeError};
 use crate::shard::ShardedMap;
 use crate::wal::{BlockEntry, DfsSnapshot, DfsWalRecord};
-use lsdf_durability::ComponentDurability;
+use lsdf_durability::{ComponentDurability, RecoveryStats};
 use lsdf_obs::names;
 use lsdf_storage::{sha256, Payload};
 
@@ -221,19 +221,6 @@ pub struct Dfs {
     rng: OrderedMutex<ChaCha8Rng>,
     obs: DfsObs,
     durability: Option<ComponentDurability>,
-}
-
-/// What one namenode recovery pass replayed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DfsRecoveryStats {
-    /// A verified checkpoint was loaded as the replay base.
-    pub snapshot_loaded: bool,
-    /// WAL records replayed over the base.
-    pub replayed: u64,
-    /// Replayed records whose effect was already present.
-    pub skipped: u64,
-    /// Segments that ended in a torn (never-acked) frame.
-    pub torn_tails: u64,
 }
 
 impl Dfs {
@@ -1061,41 +1048,29 @@ impl Dfs {
     /// Recovers the namespace from the durable store: loads the latest
     /// verified checkpoint, then replays the committed WAL suffix
     /// idempotently. A namenode without durability returns zeroed stats.
-    pub fn recover(&self) -> DfsRecoveryStats {
+    pub fn recover(&self) -> RecoveryStats {
         let Some(d) = &self.durability else {
-            return DfsRecoveryStats::default();
+            return RecoveryStats::default();
         };
-        let recovered = d.recover();
-        let mut stats = DfsRecoveryStats {
-            torn_tails: recovered.torn_tails,
-            ..DfsRecoveryStats::default()
-        };
-        if let Some(snap) = recovered.snapshot.as_deref().and_then(DfsSnapshot::decode) {
-            stats.snapshot_loaded = true;
-            self.next_block.fetch_max(snap.next_block, Ordering::Relaxed);
-            for (id, size, replicas) in snap.blocks {
-                self.blocks.insert(id, BlockInfo { size, replicas });
-            }
-            let mut files = self.files.write();
-            for (path, size, blocks) in snap.files {
-                files.insert(path, FileEntry { blocks, size });
-            }
-        }
-        for payload in &recovered.records {
-            stats.replayed += 1;
-            match DfsWalRecord::decode(payload) {
-                Some(rec) => {
-                    if !self.apply_record(rec) {
-                        stats.skipped += 1;
-                    }
+        d.replay(
+            |bytes| {
+                let Some(snap) = DfsSnapshot::decode(bytes) else {
+                    return false;
+                };
+                self.next_block.fetch_max(snap.next_block, Ordering::Relaxed);
+                for (id, size, replicas) in snap.blocks {
+                    self.blocks.insert(id, BlockInfo { size, replicas });
                 }
-                // Undecodable committed records cannot occur (we wrote
-                // them); count defensively rather than panic.
-                None => stats.skipped += 1,
-            }
-        }
-        d.note_skipped(stats.skipped);
-        stats
+                let mut files = self.files.write();
+                for (path, size, blocks) in snap.files {
+                    files.insert(path, FileEntry { blocks, size });
+                }
+                true
+            },
+            // Undecodable committed records cannot occur (we wrote
+            // them); count them as skipped rather than panic.
+            |payload| DfsWalRecord::decode(payload).is_some_and(|rec| self.apply_record(rec)),
+        )
     }
 
     /// Applies one replayed record; returns `false` when its effect was

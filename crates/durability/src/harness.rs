@@ -9,9 +9,10 @@
 //! * a background reconciler polls [`ComponentDurability::should_checkpoint`]
 //!   and calls [`ComponentDurability::checkpoint_with`] with a canonical
 //!   full-state snapshot;
-//! * after a crash, [`ComponentDurability::recover`] hands back the
-//!   latest verified checkpoint plus the committed WAL suffix, which the
-//!   component applies idempotently.
+//! * after a crash, [`ComponentDurability::replay`] hands the latest
+//!   verified checkpoint and then each committed WAL record of the
+//!   suffix to the component, which applies them idempotently, and
+//!   returns the [`RecoveryStats`] every component reports.
 
 use crate::checkpoint::CheckpointStore;
 use crate::device::DurableStore;
@@ -43,13 +44,20 @@ impl Default for DurabilityConfig {
     }
 }
 
-/// What [`ComponentDurability::recover`] found on disk.
-pub struct Recovered {
-    /// Verified checkpoint snapshot, if any.
-    pub snapshot: Option<Vec<u8>>,
-    /// Committed WAL records to replay over the snapshot, in log order.
-    pub records: Vec<Vec<u8>>,
-    /// Segments that ended in a torn frame (discarded un-acked tails).
+/// What one [`ComponentDurability::replay`] pass did. The counts are
+/// the ones the registry records: `replayed` matches
+/// `recovery_replayed_records_total` and `skipped` matches
+/// `recovery_skipped_records_total`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RecoveryStats {
+    /// A verified checkpoint was installed as the replay base.
+    pub snapshot_loaded: bool,
+    /// Committed WAL records read back and replayed over the base.
+    pub replayed: u64,
+    /// Replayed records whose effect was already present (a subset of
+    /// `replayed`).
+    pub skipped: u64,
+    /// Segments that ended in a torn (never-acked) frame.
     pub torn_tails: u64,
 }
 
@@ -142,28 +150,31 @@ impl ComponentDurability {
         hex
     }
 
-    /// Reads the latest verified checkpoint and the committed WAL suffix
-    /// above it. Counts the run and models replay latency on the
-    /// recovery histogram.
-    pub fn recover(&self) -> Recovered {
+    /// Recovers the component: reads the latest verified checkpoint
+    /// and hands it to `install` (which returns `false` when it cannot
+    /// decode it), then hands each committed WAL record above it to
+    /// `apply` in log order (`false` = its effect was already present,
+    /// or it did not decode). Counts the run, the records and the skips,
+    /// and models replay latency on the recovery histogram.
+    pub fn replay(
+        &self,
+        install: impl FnOnce(&[u8]) -> bool,
+        mut apply: impl FnMut(&[u8]) -> bool,
+    ) -> RecoveryStats {
         let (manifest, snapshot) = self.ckpts.load();
         // If the checkpoint blob failed verification, fall back to
         // replaying every surviving segment rather than just the suffix.
         let from_epoch = if snapshot.is_some() { manifest.wal_epoch } else { 0 };
         let replay = self.log.replay_from(from_epoch);
+        let replayed = replay.records.len() as u64;
         self.obs.runs.inc();
-        self.obs.replayed.add(replay.records.len() as u64);
-        self.obs
-            .latency
-            .record(RECOVERY_BASE_NS + REPLAY_NS_PER_RECORD * replay.records.len() as u64);
-        self.since_ckpt.store(replay.records.len() as u64, Ordering::Relaxed);
-        Recovered { snapshot, records: replay.records, torn_tails: replay.torn_tails }
-    }
-
-    /// Counts records that replay skipped because their effect was
-    /// already present (idempotent re-application).
-    pub fn note_skipped(&self, n: u64) {
-        self.obs.skipped.add(n);
+        self.obs.replayed.add(replayed);
+        self.obs.latency.record(RECOVERY_BASE_NS + REPLAY_NS_PER_RECORD * replayed);
+        self.since_ckpt.store(replayed, Ordering::Relaxed);
+        let snapshot_loaded = snapshot.as_deref().is_some_and(install);
+        let skipped = replay.records.iter().filter(|r| !apply(r)).count() as u64;
+        self.obs.skipped.add(skipped);
+        RecoveryStats { snapshot_loaded, replayed, skipped, torn_tails: replay.torn_tails }
     }
 
     /// Simulates the crash tearing an in-flight, never-acked frame onto

@@ -13,7 +13,8 @@
 //! * [`CheckpointStore`] — content-addressed full-state checkpoints
 //!   behind an atomically replaced manifest;
 //! * [`ComponentDurability`] — the per-component bundle tying the three
-//!   together (log → checkpoint → recover);
+//!   together (log → checkpoint → recover), with the one replay loop
+//!   every component recovers through and its [`RecoveryStats`];
 //! * [`Enc`] / [`Dec`] — the deterministic little-endian codec that
 //!   makes snapshots canonical and recovery bit-identical.
 //!
@@ -35,5 +36,5 @@ pub use checkpoint::{CheckpointStore, Manifest};
 pub use codec::{Dec, Enc};
 pub use crc::crc32;
 pub use device::{DurableStore, MemDisk};
-pub use harness::{ComponentDurability, DurabilityConfig, Recovered};
+pub use harness::{ComponentDurability, DurabilityConfig, RecoveryStats};
 pub use log::{parse_frames, DurableLog, Replay, WalConfig, FRAME_HEADER_LEN, MAX_RECORD_LEN};

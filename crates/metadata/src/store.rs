@@ -14,7 +14,7 @@ use crate::record::{DatasetId, DatasetRecord, ProcessingResult};
 use crate::schema::{Document, Schema, SchemaError};
 use crate::value::Value;
 use crate::wal::{MetaSnapshot, MetaWalRecord};
-use lsdf_durability::ComponentDurability;
+use lsdf_durability::{ComponentDurability, RecoveryStats};
 use lsdf_storage::sha256;
 
 /// Errors from store operations.
@@ -72,19 +72,6 @@ struct StoreState {
     field_indexes: HashMap<String, FieldIndex>,
     tag_index: TagIndex,
     subscribers: Vec<Subscriber>,
-}
-
-/// What one metadata-store recovery pass replayed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MetaRecoveryStats {
-    /// A verified checkpoint was loaded as the replay base.
-    pub snapshot_loaded: bool,
-    /// WAL records applied during replay.
-    pub replayed: u64,
-    /// WAL records skipped because their effect was already present.
-    pub skipped: u64,
-    /// Log segments that ended in a torn (un-acked) frame.
-    pub torn_tails: u64,
 }
 
 /// A single project's metadata repository.
@@ -531,33 +518,20 @@ impl ProjectStore {
     /// Rebuilds the catalog from the durable store: installs the latest
     /// verified checkpoint, then replays the committed WAL suffix
     /// idempotently. A store without durability returns zeroed stats.
-    pub fn recover(&self) -> MetaRecoveryStats {
+    pub fn recover(&self) -> RecoveryStats {
         let Some(d) = &self.durability else {
-            return MetaRecoveryStats::default();
+            return RecoveryStats::default();
         };
-        let recovered = d.recover();
-        let mut stats = MetaRecoveryStats {
-            torn_tails: recovered.torn_tails,
-            ..MetaRecoveryStats::default()
-        };
-        if let Some(snap) = recovered.snapshot.as_deref().and_then(MetaSnapshot::decode) {
-            stats.snapshot_loaded = true;
-            self.install_snapshot(snap);
-        }
-        for payload in &recovered.records {
-            match MetaWalRecord::decode(payload) {
-                Some(rec) => {
-                    if self.apply_record(rec) {
-                        stats.replayed += 1;
-                    } else {
-                        stats.skipped += 1;
-                    }
-                }
-                None => stats.skipped += 1,
-            }
-        }
-        d.note_skipped(stats.skipped);
-        stats
+        d.replay(
+            |bytes| {
+                let Some(snap) = MetaSnapshot::decode(bytes) else {
+                    return false;
+                };
+                self.install_snapshot(snap);
+                true
+            },
+            |payload| MetaWalRecord::decode(payload).is_some_and(|rec| self.apply_record(rec)),
+        )
     }
 
     /// Installs a checkpoint snapshot, rebuilding every derived
@@ -956,7 +930,7 @@ mod tests {
         assert_eq!(store.wal_records_since_checkpoint(), 0);
         assert_eq!(store.checkpoint(), None);
         assert!(!store.maybe_checkpoint());
-        assert_eq!(store.recover(), MetaRecoveryStats::default());
+        assert_eq!(store.recover(), RecoveryStats::default());
         assert_eq!(store.len(), 2, "recover leaves a non-durable store alone");
     }
 

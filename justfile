@@ -1,11 +1,15 @@
 # Workspace task runner. `just check` is the gate a PR must pass.
 
-# Build, test, lint (clippy + lsdf-lint) the whole workspace.
+# Build, test, lint (clippy + lsdf-lint) the whole workspace, then build
+# and test perfbench, which drives the facility's staged-put, restart
+# and worker-pool API from outside the workspace.
 check:
     cargo build --release
     cargo test -q
     cargo clippy --workspace --all-targets -- -D warnings
     cargo run --release -p lsdf-lint
+    cargo build --release --offline --manifest-path perfbench/Cargo.toml
+    cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
 # Fast compile-only feedback.
 build:

@@ -58,7 +58,12 @@ fn run_soak(seed: u64) -> String {
     auth.register("tok", "operator");
     let acl = Arc::new(Acl::new());
     acl.grant("operator", "soak", true);
-    let adal = Adal::with_registry(auth, acl, reg.clone());
+    let adal = Adal::builder()
+        .auth(auth)
+        .acl(acl)
+        .registry(reg.clone())
+        .workers(1)
+        .build();
     let cred = Credential::Token("tok".into());
 
     // A faulty object-store primary with an object-store replica: the
@@ -200,11 +205,26 @@ fn run_traced_ingest(seed: u64, workers: usize) -> String {
 
     let reg = Arc::new(Registry::new());
     reg.set_virtual_time_ns(42);
+    // A second zebrafish tenant mounted through the resilience stack,
+    // whose puts fan out to a replica: its span reservation must keep
+    // the trace worker-invariant too.
+    let mut resilient_schema = zebrafish_schema();
+    resilient_schema.name = "zebrafish-resilient".into();
     let f = Facility::builder()
         .tenant(ProjectSpec::new(
             zebrafish_schema(),
             BackendChoice::ObjectStore { capacity: u64::MAX },
         ))
+        .tenant(
+            ProjectSpec::new(
+                resilient_schema,
+                BackendChoice::ObjectStore { capacity: u64::MAX },
+            )
+            .resilient(
+                BackendChoice::ObjectStore { capacity: u64::MAX },
+                ResilienceConfig::default(),
+            ),
+        )
         .registry(reg.clone())
         .workers(workers)
         .tracing(TraceConfig::full().seed(seed))
@@ -224,8 +244,17 @@ fn run_traced_ingest(seed: u64, workers: usize) -> String {
                 metadata: Some(acq.document()),
             })
             .collect();
-        let report = f.ingest_batch(&admin, items, IngestPolicy::default());
-        assert_eq!(report.rejected, 0);
+        let resilient_items: Vec<IngestItem> = items
+            .iter()
+            .map(|item| IngestItem {
+                project: "zebrafish-resilient".into(),
+                ..item.clone()
+            })
+            .collect();
+        for batch in [items, resilient_items] {
+            let report = f.ingest_batch(&admin, batch, IngestPolicy::default());
+            assert_eq!(report.rejected, 0);
+        }
     }
     let export = f.tracer().expect("tracing on").export_chrome();
     assert!(
