@@ -973,10 +973,7 @@ mod tests {
     #[test]
     fn durable_facility_crash_restart_recovers_bit_identically() {
         let disk = DurableStore::new();
-        let cfg = DurabilityConfig {
-            checkpoint_every: 4,
-            ..DurabilityConfig::default()
-        };
+        let cfg = DurabilityConfig { checkpoint_every: 4 };
         let f = Facility::builder()
             .tenant(ProjectSpec::new(zebrafish_schema(), BackendChoice::Dfs))
             .cluster(ClusterTopology::new(2, 2), DfsConfig {
@@ -1047,10 +1044,7 @@ mod tests {
     #[test]
     fn reconciler_checkpoints_when_thresholds_cross() {
         let disk = DurableStore::new();
-        let cfg = DurabilityConfig {
-            checkpoint_every: 2,
-            ..DurabilityConfig::default()
-        };
+        let cfg = DurabilityConfig { checkpoint_every: 2 };
         let f = Facility::builder()
             .tenant(ProjectSpec::new(zebrafish_schema(), BackendChoice::Dfs))
             .cluster(ClusterTopology::new(2, 2), DfsConfig {

@@ -115,16 +115,17 @@ pub struct LocatedBlock {
 }
 
 /// A file staged on the datanodes but not yet committed: its blocks
-/// are placed and registered in the block map, while the namespace
-/// entry and WAL record wait for [`Dfs::commit_files_batch`]. Produced
-/// by [`Dfs::stage_write_traced`]; holds the write-latency span so the
-/// recorded latency covers stage + commit, like the single-file path.
+/// are placed on the datanodes, while the block-map entries, the
+/// namespace entry and the WAL record wait for
+/// [`Dfs::commit_files_batch`], which applies them as one `FileCommit`.
+/// Produced by [`Dfs::stage_write_traced`]; holds the write-latency
+/// span so the recorded latency covers stage + commit, like the
+/// single-file path.
 pub struct StagedFile {
     path: String,
     size: u64,
     max_id: Option<u64>,
-    block_ids: Vec<BlockId>,
-    entries: Vec<BlockEntry>,
+    blocks: Vec<BlockEntry>,
     span: Span,
 }
 
@@ -352,11 +353,11 @@ impl Dfs {
             .unwrap_or(Err(DfsError::NoSpace))
     }
 
-    /// Places a file's blocks on the datanodes without committing the
-    /// namespace entry: everything in a write except the `files` map
-    /// insert and the WAL record, which happen in
-    /// [`Dfs::commit_files_batch`] — one lock acquisition and one WAL
-    /// group commit for a whole batch of staged files.
+    /// Places a file's blocks on the datanodes without touching the
+    /// namenode: the block map, the `files` map and the WAL record are
+    /// all written in [`Dfs::commit_files_batch`] — one lock
+    /// acquisition and one WAL group commit for a whole batch of staged
+    /// files.
     ///
     /// Block chunks are zero-copy views into `data`'s buffer.
     pub fn stage_write_traced(
@@ -372,8 +373,7 @@ impl Dfs {
         if self.files.read().contains_key(path) {
             return Err(DfsError::FileExists(path.to_string()));
         }
-        let mut block_ids = Vec::new();
-        let mut entries: Vec<BlockEntry> = Vec::new();
+        let mut blocks: Vec<BlockEntry> = Vec::new();
         let mut max_id: Option<u64> = None;
         let block_size = self.config.block_size as usize;
         let mut start = 0usize;
@@ -384,7 +384,7 @@ impl Dfs {
             let targets = self.choose_targets(writer, self.config.replication);
             if targets.is_empty() {
                 // Roll back blocks written so far.
-                self.drop_blocks(&block_ids);
+                self.discard(&blocks);
                 self.log_rolled_back_alloc(max_id);
                 return Err(DfsError::NoSpace);
             }
@@ -403,7 +403,7 @@ impl Dfs {
                 }
             }
             if placed.is_empty() {
-                self.drop_blocks(&block_ids);
+                self.discard(&blocks);
                 self.log_rolled_back_alloc(max_id);
                 return Err(DfsError::NoSpace);
             }
@@ -414,27 +414,10 @@ impl Dfs {
                     ("replicas", &placed.len().to_string()),
                 ],
             );
-            if self.durability.is_some() {
-                entries.push((id, chunk.len() as u64, placed.clone()));
-            }
-            self.blocks.insert(
-                id,
-                BlockInfo {
-                    size: chunk.len() as u64,
-                    replicas: placed,
-                },
-            );
-            block_ids.push(id);
+            blocks.push((id, chunk.len() as u64, placed));
             start = end;
         }
-        Ok(StagedFile {
-            path: path.to_string(),
-            size: data.len() as u64,
-            max_id,
-            block_ids,
-            entries,
-            span,
-        })
+        Ok(StagedFile { path: path.to_string(), size: data.len() as u64, max_id, blocks, span })
     }
 
     /// Commits a batch of staged files to the namespace under **one**
@@ -451,7 +434,7 @@ impl Dfs {
     ) -> Vec<Result<FileMeta, DfsError>> {
         let mut results = Vec::with_capacity(staged.len());
         let mut wal: Vec<Vec<u8>> = Vec::new();
-        let mut rollbacks: Vec<(Vec<BlockId>, Option<u64>)> = Vec::new();
+        let mut rollbacks: Vec<(Vec<BlockEntry>, Option<u64>)> = Vec::new();
         let mut committed: Vec<(u64, Span)> = Vec::new();
         {
             let mut files = self.files.write();
@@ -460,46 +443,35 @@ impl Dfs {
                 // have committed the same path since the optimistic
                 // check at stage time.
                 if files.contains_key(&sf.path) {
-                    rollbacks.push((sf.block_ids, sf.max_id));
+                    rollbacks.push((sf.blocks, sf.max_id));
                     results.push(Err(DfsError::FileExists(sf.path)));
                     continue;
                 }
-                files.insert(
-                    sf.path.clone(),
-                    FileEntry {
-                        // lint: allow(payload_copy) -- block-id list, not payload bytes
-                        blocks: sf.block_ids.clone(),
-                        size: sf.size,
-                    },
-                );
+                let meta =
+                    FileMeta { path: sf.path.clone(), size: sf.size, blocks: sf.blocks.len() };
+                let record = DfsWalRecord::FileCommit {
+                    path: sf.path,
+                    size: sf.size,
+                    watermark: sf.max_id.map_or(0, |m| m + 1),
+                    blocks: sf.blocks,
+                };
                 // Encode the WAL record under the namespace lock so log
                 // order agrees with namespace order for same-path
                 // commit/delete races; the batch is synced before any
                 // write in it is acked.
                 if self.durability.is_some() {
-                    wal.push(
-                        DfsWalRecord::FileCommit {
-                            path: sf.path.clone(),
-                            size: sf.size,
-                            watermark: sf.max_id.map_or(0, |m| m + 1),
-                            blocks: sf.entries,
-                        }
-                        .encode(),
-                    );
+                    wal.push(record.encode());
                 }
+                self.apply(&mut files, record);
                 committed.push((sf.size, sf.span));
-                results.push(Ok(FileMeta {
-                    path: sf.path,
-                    size: sf.size,
-                    blocks: sf.block_ids.len(),
-                }));
+                results.push(Ok(meta));
             }
             if let Some(d) = &self.durability {
                 d.log_batch(&wal);
             }
         }
-        for (ids, max_id) in rollbacks {
-            self.drop_blocks(&ids);
+        for (blocks, max_id) in rollbacks {
+            self.discard(&blocks);
             self.log_rolled_back_alloc(max_id);
         }
         for (size, span) in committed {
@@ -684,30 +656,28 @@ impl Dfs {
     /// block map no longer reference the id — and only cost space on
     /// the revived node.
     pub fn delete(&self, path: &str) -> Result<(), DfsError> {
-        let entry = {
+        let removed = {
             let mut files = self.files.write();
             let entry = files
-                .remove(path)
+                .get(path)
                 .ok_or_else(|| DfsError::FileNotFound(path.to_string()))?;
-            // Log under the namespace lock (see `commit_files_batch`); the
-            // record carries the block ids so replay can clear the block
-            // map even when a checkpoint captured blocks but not the
-            // file entry.
+            // The record carries the block ids so replay can clear the
+            // block map even when a checkpoint captured blocks but not
+            // the file entry.
+            let record = DfsWalRecord::Delete {
+                path: path.to_string(),
+                // lint: allow(payload_copy) -- block-id list, not payload bytes
+                blocks: entry.blocks.clone(),
+            };
+            // Log under the namespace lock (see `commit_files_batch`).
             if let Some(d) = &self.durability {
-                let record = DfsWalRecord::Delete {
-                    path: path.to_string(),
-                    // lint: allow(payload_copy) -- block-id list, not payload bytes
-                    blocks: entry.blocks.clone(),
-                };
                 d.log(&record.encode());
             }
-            entry
+            self.apply(&mut files, record)
         };
-        for id in &entry.blocks {
-            if let Some(info) = self.blocks.remove(*id) {
-                for n in info.replicas {
-                    let _ = self.nodes[n.0 as usize].delete_block(*id);
-                }
+        for (id, replicas) in removed.unwrap_or_default() {
+            for n in replicas {
+                let _ = self.nodes[n.0 as usize].delete_block(id);
             }
         }
         self.obs.deletes.inc();
@@ -912,6 +882,7 @@ impl Dfs {
             else {
                 return moved;
             };
+            let src_used = self.nodes[src.0 as usize].used();
             // Pick a block on src whose other replicas avoid dst.
             let candidate: Option<(BlockId, u64)> =
                 self.blocks.fold(None, |best, id, info| {
@@ -922,9 +893,15 @@ impl Dfs {
                         return best;
                     }
                     // Prefer the largest block that still fits the gap, so
-                    // the balancer converges instead of ping-ponging.
+                    // the balancer converges instead of ping-ponging. A
+                    // move must also leave dst below src's usage: only
+                    // then does it shrink the sum of squared usages, which
+                    // bounds the loop (a block bigger than the gap would
+                    // just swap the two nodes' roles, forever).
                     let dst_used = self.nodes[dst.0 as usize].used();
-                    if (dst_used + info.size) as f64 > hi_cut.max(info.size as f64) {
+                    if (dst_used + info.size) as f64 > hi_cut.max(info.size as f64)
+                        || dst_used + info.size >= src_used
+                    {
                         return best;
                     }
                     match best {
@@ -962,19 +939,6 @@ impl Dfs {
     }
 
     // --- Durability: snapshot, crash, recovery ------------------------
-
-    /// True when this namenode commits mutations to a WAL.
-    pub fn is_durable(&self) -> bool {
-        self.durability.is_some()
-    }
-
-    /// WAL records committed since the last checkpoint (reconciler
-    /// cadence input; 0 when not durable).
-    pub fn wal_records_since_checkpoint(&self) -> u64 {
-        self.durability
-            .as_ref()
-            .map_or(0, ComponentDurability::records_since_checkpoint)
-    }
 
     fn snapshot(&self) -> DfsSnapshot {
         let files: Vec<(String, u64, Vec<BlockId>)> = {
@@ -1069,42 +1033,51 @@ impl Dfs {
             },
             // Undecodable committed records cannot occur (we wrote
             // them); count them as skipped rather than panic.
-            |payload| DfsWalRecord::decode(payload).is_some_and(|rec| self.apply_record(rec)),
+            |payload| {
+                DfsWalRecord::decode(payload)
+                    .is_some_and(|rec| self.apply(&mut self.files.write(), rec).is_some())
+            },
         )
     }
 
-    /// Applies one replayed record; returns `false` when its effect was
-    /// already present (idempotent skip).
-    fn apply_record(&self, rec: DfsWalRecord) -> bool {
+    /// Applies one record to the namespace held by the `files` guard and
+    /// to the block map: the transition `commit_files_batch` and
+    /// `delete` make live and replay makes for every record. Returns
+    /// `None` when its effect was already present (idempotent skip),
+    /// else the replica sets of the blocks it removed, whose bytes the
+    /// live caller frees on the datanodes.
+    fn apply(
+        &self,
+        files: &mut BTreeMap<String, FileEntry>,
+        rec: DfsWalRecord,
+    ) -> Option<Vec<(BlockId, Vec<DfsNodeId>)>> {
         match rec {
             DfsWalRecord::FileCommit { path, size, watermark, blocks } => {
                 self.next_block.fetch_max(watermark, Ordering::Relaxed);
-                let mut files = self.files.write();
                 if files.contains_key(&path) {
-                    return false;
+                    return None;
                 }
                 let ids: Vec<BlockId> = blocks.iter().map(|(id, _, _)| *id).collect();
                 for (id, bsize, replicas) in blocks {
                     self.blocks.insert(id, BlockInfo { size: bsize, replicas });
                 }
                 files.insert(path, FileEntry { blocks: ids, size });
-                true
+                Some(Vec::new())
             }
             DfsWalRecord::Delete { path, blocks } => {
-                let had_file = self.files.write().remove(&path).is_some();
-                let mut had_blocks = false;
-                for id in blocks {
-                    had_blocks |= self.blocks.remove(id).is_some();
-                }
-                had_file || had_blocks
+                let had_file = files.remove(&path).is_some();
+                let removed: Vec<(BlockId, Vec<DfsNodeId>)> = blocks
+                    .into_iter()
+                    .filter_map(|id| self.blocks.remove(id).map(|info| (id, info.replicas)))
+                    .collect();
+                (had_file || !removed.is_empty()).then_some(removed)
             }
-            DfsWalRecord::ReplicaSet { block, replicas } => self
-                .blocks
-                .write(block, |info| info.replicas = replicas)
-                .is_some(),
+            DfsWalRecord::ReplicaSet { block, replicas } => {
+                self.blocks.write(block, |info| info.replicas = replicas).map(|()| Vec::new())
+            }
             DfsWalRecord::Alloc { watermark } => {
                 self.next_block.fetch_max(watermark, Ordering::Relaxed);
-                true
+                Some(Vec::new())
             }
         }
     }
@@ -1117,12 +1090,12 @@ impl Dfs {
         }
     }
 
-    fn drop_blocks(&self, ids: &[BlockId]) {
-        for id in ids {
-            if let Some(info) = self.blocks.remove(*id) {
-                for n in info.replicas {
-                    let _ = self.nodes[n.0 as usize].delete_block(*id);
-                }
+    /// Frees a rolled-back staged file's replicas on the datanodes
+    /// (staged blocks never entered the block map).
+    fn discard(&self, blocks: &[BlockEntry]) {
+        for (id, _, replicas) in blocks {
+            for n in replicas {
+                let _ = self.nodes[n.0 as usize].delete_block(*id);
             }
         }
     }
@@ -1540,10 +1513,7 @@ mod tests {
 
     fn durable_dfs(store: &lsdf_durability::DurableStore, checkpoint_every: u64) -> Dfs {
         let reg = Arc::new(Registry::new());
-        let cfg = lsdf_durability::DurabilityConfig {
-            checkpoint_every,
-            ..lsdf_durability::DurabilityConfig::default()
-        };
+        let cfg = lsdf_durability::DurabilityConfig { checkpoint_every };
         Dfs::with_durability(
             ClusterTopology::new(2, 3),
             DfsConfig {
@@ -1618,6 +1588,29 @@ mod tests {
         // the surviving under-replication must match exactly.
         assert_eq!(fs.under_replicated(), before);
         assert_eq!(fs.blocks.len(), 3, "only /keep's blocks survive");
+    }
+
+    #[test]
+    fn monitor_pass_between_stage_and_commit_recovers_identically() {
+        // A staged file's blocks are not in the namespace until commit,
+        // so a monitor pass in between has nothing to repair and logs
+        // nothing the later `FileCommit` contradicts: the recovered
+        // namespace is the acked one, under-replication included.
+        let store = lsdf_durability::DurableStore::new();
+        let fs = durable_dfs(&store, 1_000);
+        let payload = Payload::from(&data(80)[..]);
+        let staged = fs
+            .stage_write_traced("/exp/s", &payload, Some(DfsNodeId(0)), &TraceCtx::disabled())
+            .unwrap();
+        fs.kill_node(DfsNodeId(0));
+        fs.re_replicate();
+        fs.commit_files_batch(vec![staged]).pop().unwrap().unwrap();
+        let digest = fs.namespace_digest();
+        let under = fs.under_replicated();
+        fs.crash(5);
+        fs.recover();
+        assert_eq!(fs.namespace_digest(), digest);
+        assert_eq!(fs.under_replicated(), under);
     }
 
     #[test]

@@ -5,8 +5,14 @@
 //! checkpoint serializes the full namespace (file table, block map,
 //! allocator watermark) with the canonical [`lsdf_durability::codec`]
 //! so that replaying WAL over the latest checkpoint reconstructs a
-//! bit-identical namespace. Replay is idempotent: records whose effect
-//! is already present (because the checkpoint raced ahead of the
+//! bit-identical namespace.
+//!
+//! A record is also the live mutation: a file commit or delete builds
+//! its record, logs it and hands it to the namenode's one transition
+//! function, the same one replay calls for every record. Replica-set
+//! changes and rolled-back allocations keep their live code and are
+//! replayed through that function. Replay is idempotent: records whose
+//! effect is already present (because the checkpoint raced ahead of the
 //! segment rotation, or a record survives in both an old and new
 //! segment) are skipped, which is what makes a crash at any point of
 //! the checkpoint sequence safe.

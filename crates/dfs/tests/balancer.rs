@@ -1,5 +1,5 @@
 //! Balancer tests: skewed clusters level out without losing data or
-//! violating replica-distinctness.
+//! violating replica-distinctness, and the balancer always terminates.
 
 use bytes::Bytes;
 use lsdf_dfs::{ClusterTopology, Dfs, DfsConfig, DfsNodeId, PlacementPolicy};
@@ -103,4 +103,25 @@ fn rebalance_skips_dead_nodes() {
         let data = dfs.read(&format!("/f{f}"), None).unwrap();
         assert_eq!(data.len(), 1000);
     }
+}
+
+#[test]
+fn rebalance_terminates_when_the_only_block_exceeds_the_gap() {
+    // One 100-byte block on 2 of 6 nodes: every node is outside a 10%
+    // band around the mean, but moving the block would only swap an
+    // over-full node with an empty one. The balancer must stop, not
+    // move it back and forth forever.
+    let dfs = Dfs::new(
+        ClusterTopology::new(2, 3),
+        DfsConfig {
+            block_size: 100,
+            replication: 2,
+            node_capacity: u64::MAX,
+            placement: PlacementPolicy::RackAware,
+            seed: 42,
+        },
+    );
+    dfs.write("/one", &[1u8; 100], None).unwrap();
+    assert_eq!(dfs.rebalance(0.1), 0);
+    assert_eq!(dfs.read("/one", None).unwrap(), Bytes::from(vec![1u8; 100]));
 }

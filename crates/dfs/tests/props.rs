@@ -1,9 +1,15 @@
 //! Property tests for DFS invariants: placement distinctness, roundtrip
-//! fidelity under arbitrary file sizes, and durability under failures up
-//! to replication-1 nodes.
+//! fidelity under arbitrary file sizes, durability under failures up
+//! to replication-1 nodes, and crash recovery rebuilding the live
+//! namespace.
+
+use std::sync::Arc;
 
 use bytes::Bytes;
 use lsdf_dfs::{ClusterTopology, Dfs, DfsConfig, DfsNodeId, PlacementPolicy};
+use lsdf_durability::{ComponentDurability, DurabilityConfig, DurableStore};
+use lsdf_obs::{Registry, TraceCtx};
+use lsdf_storage::Payload;
 use proptest::prelude::*;
 
 fn make(racks: u16, per_rack: u16, block: u64, repl: usize, policy: PlacementPolicy, seed: u64) -> Dfs {
@@ -114,5 +120,85 @@ proptest! {
         }
         let (used, _) = fs.usage();
         prop_assert_eq!(used, 0);
+    }
+
+    /// Replay rebuilds what the live path built: after any mix of
+    /// writes, deletes, staged files held across other operations and
+    /// then committed as a batch, node kills and revivals, monitor and
+    /// balancer passes, and checkpoints, a crash plus recovery yields
+    /// the live namespace — file table, block map, replica sets and
+    /// allocator watermark alike.
+    #[test]
+    fn replay_rebuilds_the_live_namespace(
+        ops in prop::collection::vec((0u8..10, 0u32..6, 1usize..350), 1..60),
+        seed in any::<u64>(),
+    ) {
+        let disk = DurableStore::new();
+        let reg = Arc::new(Registry::new());
+        let durability = ComponentDurability::open(
+            &disk,
+            "dfs",
+            &reg,
+            &DurabilityConfig { checkpoint_every: 1_000 },
+        );
+        let fs = Dfs::with_durability(
+            ClusterTopology::new(2, 3),
+            DfsConfig {
+                block_size: 100,
+                replication: 2,
+                node_capacity: u64::MAX,
+                placement: PlacementPolicy::RackAware,
+                seed,
+            },
+            reg.clone(),
+            Some(durability),
+        );
+        let mut held = Vec::new();
+        for (op, a, len) in ops {
+            let path = format!("/p/{a}");
+            let node = DfsNodeId(a);
+            let data = vec![a as u8; len];
+            match op {
+                0 => {
+                    let _ = fs.write(&path, &data, Some(node));
+                }
+                1 => {
+                    let _ = fs.delete(&path);
+                }
+                2 => {
+                    let ctx = TraceCtx::disabled();
+                    if let Ok(staged) =
+                        fs.stage_write_traced(&path, &Payload::from(data), Some(node), &ctx)
+                    {
+                        held.push(staged);
+                    }
+                }
+                3 => {
+                    fs.commit_files_batch(std::mem::take(&mut held));
+                }
+                4 => fs.kill_node(node),
+                5 => fs.revive_node(node),
+                6 => {
+                    fs.re_replicate();
+                }
+                7 => {
+                    fs.rebalance(0.1);
+                }
+                _ => {
+                    fs.checkpoint();
+                }
+            }
+        }
+        // A staged file is not acked until committed, and its allocated
+        // ids are not durable before then either: settle it first.
+        fs.commit_files_batch(held);
+        let digest = fs.namespace_digest();
+        let files = fs.list("/");
+        let under = fs.under_replicated();
+        fs.crash(seed);
+        fs.recover();
+        prop_assert_eq!(fs.namespace_digest(), digest);
+        prop_assert_eq!(fs.list("/"), files);
+        prop_assert_eq!(fs.under_replicated(), under);
     }
 }

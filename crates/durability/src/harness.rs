@@ -16,7 +16,7 @@
 
 use crate::checkpoint::CheckpointStore;
 use crate::device::DurableStore;
-use crate::log::{DurableLog, WalConfig};
+use crate::log::DurableLog;
 use lsdf_obs::names;
 use lsdf_obs::{Counter, Histogram, Registry};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -27,20 +27,17 @@ const REPLAY_NS_PER_RECORD: u64 = 1_000;
 /// Modeled fixed cost of opening the log + manifest during recovery.
 const RECOVERY_BASE_NS: u64 = 20_000;
 
-/// Facility-level durability tuning, shared by every component.
+/// Facility-level durability tuning, shared by every component. The
+/// WAL's fsync cost model is fixed (see [`crate::GROUP_COMMIT`]).
 #[derive(Clone, Copy, Debug)]
 pub struct DurabilityConfig {
-    /// Modeled single-fsync latency (see [`WalConfig::fsync_ns`]).
-    pub fsync_ns: u64,
-    /// Records per accounted fsync (see [`WalConfig::group_commit`]).
-    pub group_commit: u64,
     /// Checkpoint after this many WAL records since the last one.
     pub checkpoint_every: u64,
 }
 
 impl Default for DurabilityConfig {
     fn default() -> Self {
-        Self { fsync_ns: 50_000, group_commit: 8, checkpoint_every: 4_096 }
+        Self { checkpoint_every: 4_096 }
     }
 }
 
@@ -85,7 +82,6 @@ impl ComponentDurability {
         registry: &Arc<Registry>,
         cfg: &DurabilityConfig,
     ) -> Self {
-        let wal_cfg = WalConfig { fsync_ns: cfg.fsync_ns, group_commit: cfg.group_commit };
         let labels = &[("log", name)];
         let obs = RecoveryObs {
             runs: registry.counter(names::RECOVERY_RUNS_TOTAL, labels),
@@ -94,7 +90,7 @@ impl ComponentDurability {
             latency: registry.histogram(names::RECOVERY_LATENCY_NS, labels),
         };
         Self {
-            log: DurableLog::open(store.clone(), name, registry, wal_cfg),
+            log: DurableLog::open(store.clone(), name, registry),
             ckpts: CheckpointStore::open(store.clone(), name, registry),
             checkpoint_every: cfg.checkpoint_every.max(1),
             since_ckpt: AtomicU64::new(0),

@@ -37,4 +37,6 @@ pub use codec::{Dec, Enc};
 pub use crc::crc32;
 pub use device::{DurableStore, MemDisk};
 pub use harness::{ComponentDurability, DurabilityConfig, RecoveryStats};
-pub use log::{parse_frames, DurableLog, Replay, WalConfig, FRAME_HEADER_LEN, MAX_RECORD_LEN};
+pub use log::{
+    parse_frames, DurableLog, Replay, FRAME_HEADER_LEN, GROUP_COMMIT, MAX_RECORD_LEN,
+};

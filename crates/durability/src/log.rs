@@ -31,10 +31,10 @@
 //! Every frame is physically synced before the append returns (that is
 //! what "acked writes survive" means). The *cost* of syncing is charged
 //! with group-commit batching: `wal_fsyncs_total` and the modeled
-//! `wal_fsync_latency_ns` are recorded once per `group_commit` records,
-//! reflecting that a real namenode coalesces concurrent commits into one
-//! fsync. Charging by record count keeps the metrics bit-identical at
-//! any worker count.
+//! `wal_fsync_latency_ns` (a constant [`FSYNC_NS`] per fsync) are
+//! recorded once per [`GROUP_COMMIT`] records, reflecting that a real
+//! namenode coalesces concurrent commits into one fsync. Charging by
+//! record count keeps the metrics bit-identical at any worker count.
 
 use crate::crc::crc32;
 use crate::device::{DurableStore, MemDisk};
@@ -51,21 +51,12 @@ const FRAME_MAGIC: u8 = 0xA7;
 /// garbage length field as an allocation size).
 pub const MAX_RECORD_LEN: u32 = 1 << 26;
 
-/// Tuning knobs for one write-ahead log.
-#[derive(Clone, Copy, Debug)]
-pub struct WalConfig {
-    /// Modeled latency of one device fsync, charged to
-    /// `wal_fsync_latency_ns`.
-    pub fsync_ns: u64,
-    /// Records per accounted fsync (group commit batching).
-    pub group_commit: u64,
-}
-
-impl Default for WalConfig {
-    fn default() -> Self {
-        Self { fsync_ns: 50_000, group_commit: 8 }
-    }
-}
+/// Modeled latency of one device fsync, charged to
+/// `wal_fsync_latency_ns`.
+const FSYNC_NS: u64 = 50_000;
+/// Records per accounted fsync on the per-record append path (group
+/// commit batching).
+pub const GROUP_COMMIT: u64 = 8;
 
 struct ActiveSegment {
     epoch: u64,
@@ -86,7 +77,6 @@ pub struct DurableLog {
     name: String,
     active: OrderedMutex<ActiveSegment>,
     records: AtomicU64,
-    cfg: WalConfig,
     obs: WalObs,
 }
 
@@ -114,7 +104,7 @@ fn parse_epoch(name: &str, device: &str) -> Option<u64> {
 impl DurableLog {
     /// Opens the log named `name` in `store`, resuming at the highest
     /// existing segment epoch (or creating segment 0).
-    pub fn open(store: DurableStore, name: &str, registry: &Arc<Registry>, cfg: WalConfig) -> Self {
+    pub fn open(store: DurableStore, name: &str, registry: &Arc<Registry>) -> Self {
         let epoch = store
             .names_with_prefix(&format!("{name}-wal-"))
             .iter()
@@ -135,7 +125,6 @@ impl DurableLog {
             name: name.to_string(),
             active: OrderedMutex::new(ranks::WAL_ACTIVE, ActiveSegment { epoch, dev }),
             records: AtomicU64::new(0),
-            cfg,
             obs,
         }
     }
@@ -151,7 +140,7 @@ impl DurableLog {
 
     /// Appends one record and syncs it to the durable image before
     /// returning — the caller may ack its mutation as soon as this
-    /// returns. Fsync cost is charged once per `group_commit` records.
+    /// returns. Fsync cost is charged once per [`GROUP_COMMIT`] records.
     pub fn append_commit(&self, payload: &[u8]) {
         let frame = Self::frame(payload);
         {
@@ -162,9 +151,9 @@ impl DurableLog {
         self.obs.appends.inc();
         self.obs.append_bytes.record(frame.len() as u64);
         let n = self.records.fetch_add(1, Ordering::Relaxed) + 1;
-        if n.is_multiple_of(self.cfg.group_commit.max(1)) {
+        if n.is_multiple_of(GROUP_COMMIT) {
             self.obs.fsyncs.inc();
-            self.obs.fsync_latency.record(self.cfg.fsync_ns);
+            self.obs.fsync_latency.record(FSYNC_NS);
         }
     }
 
@@ -192,7 +181,7 @@ impl DurableLog {
             self.obs.append_bytes.record(frame.len() as u64);
         }
         self.obs.fsyncs.inc();
-        self.obs.fsync_latency.record(self.cfg.fsync_ns);
+        self.obs.fsync_latency.record(FSYNC_NS);
     }
 
     /// Current segment epoch.
@@ -312,7 +301,7 @@ mod tests {
     #[test]
     fn append_replay_roundtrip() {
         let store = DurableStore::new();
-        let log = DurableLog::open(store.clone(), "t", &registry(), WalConfig::default());
+        let log = DurableLog::open(store.clone(), "t", &registry());
         log.append_commit(b"one");
         log.append_commit(b"two");
         log.append_commit(b"");
@@ -324,10 +313,10 @@ mod tests {
     #[test]
     fn torn_tail_is_discarded() {
         let store = DurableStore::new();
-        let log = DurableLog::open(store.clone(), "t", &registry(), WalConfig::default());
+        let log = DurableLog::open(store.clone(), "t", &registry());
         log.append_commit(b"committed");
         log.crash_torn(b"never-acked-record", 7);
-        let reopened = DurableLog::open(store, "t", &registry(), WalConfig::default());
+        let reopened = DurableLog::open(store, "t", &registry());
         let r = reopened.replay_from(0);
         assert_eq!(r.records, vec![b"committed".to_vec()]);
         assert_eq!(r.torn_tails, 1);
@@ -336,7 +325,7 @@ mod tests {
     #[test]
     fn torn_tail_is_repaired_so_later_appends_survive_the_next_crash() {
         let store = DurableStore::new();
-        let log = DurableLog::open(store.clone(), "t", &registry(), WalConfig::default());
+        let log = DurableLog::open(store.clone(), "t", &registry());
         log.append_commit(b"one");
         log.crash_torn(b"never-acked", 5);
         // First recovery discards and *repairs* the torn tail...
@@ -354,7 +343,7 @@ mod tests {
     #[test]
     fn rotation_and_truncation() {
         let store = DurableStore::new();
-        let log = DurableLog::open(store.clone(), "t", &registry(), WalConfig::default());
+        let log = DurableLog::open(store.clone(), "t", &registry());
         log.append_commit(b"old");
         let e = log.rotate();
         assert_eq!(e, 1);
@@ -364,7 +353,7 @@ mod tests {
         assert_eq!(log.truncate_below(e), 1);
         assert_eq!(log.replay_from(0).records, vec![b"new".to_vec()]);
         // Reopen resumes at the surviving epoch.
-        let reopened = DurableLog::open(store, "t", &registry(), WalConfig::default());
+        let reopened = DurableLog::open(store, "t", &registry());
         assert_eq!(reopened.active_epoch(), 1);
     }
 
@@ -372,12 +361,11 @@ mod tests {
     fn fsync_accounting_batches_by_group() {
         let reg = registry();
         let store = DurableStore::new();
-        let cfg = WalConfig { fsync_ns: 1_000, group_commit: 4 };
-        let log = DurableLog::open(store, "t", &reg, cfg);
-        for i in 0..10u8 {
+        let log = DurableLog::open(store, "t", &reg);
+        for i in 0..20u8 {
             log.append_commit(&[i]);
         }
-        assert_eq!(reg.counter_value(names::WAL_APPENDS_TOTAL, &[("log", "t")]), 10);
+        assert_eq!(reg.counter_value(names::WAL_APPENDS_TOTAL, &[("log", "t")]), 20);
         assert_eq!(reg.counter_value(names::WAL_FSYNCS_TOTAL, &[("log", "t")]), 2);
     }
 
@@ -385,14 +373,13 @@ mod tests {
     fn batch_append_shares_one_fsync_and_replays_in_order() {
         let reg = registry();
         let store = DurableStore::new();
-        let cfg = WalConfig { fsync_ns: 1_000, group_commit: 4 };
-        let log = DurableLog::open(store, "t", &reg, cfg);
-        let batch: Vec<Vec<u8>> = (0..10u8).map(|i| vec![i]).collect();
+        let log = DurableLog::open(store, "t", &reg);
+        let batch: Vec<Vec<u8>> = (0..20u8).map(|i| vec![i]).collect();
         log.append_commit_batch(&batch);
         log.append_commit_batch(&[]);
-        assert_eq!(reg.counter_value(names::WAL_APPENDS_TOTAL, &[("log", "t")]), 10);
+        assert_eq!(reg.counter_value(names::WAL_APPENDS_TOTAL, &[("log", "t")]), 20);
         // One fsync for the whole batch (an empty batch charges none),
-        // vs. two on the per-record path above at group_commit = 4.
+        // vs. two on the per-record path above at GROUP_COMMIT = 8.
         assert_eq!(reg.counter_value(names::WAL_FSYNCS_TOTAL, &[("log", "t")]), 1);
         let r = log.replay_from(0);
         assert_eq!(r.records, batch);

@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use lsdf_durability::{parse_frames, DurableLog, DurableStore, WalConfig, FRAME_HEADER_LEN};
+use lsdf_durability::{parse_frames, DurableLog, DurableStore, FRAME_HEADER_LEN};
 use lsdf_obs::Registry;
 
 /// Patterned records of awkward sizes: empty, tiny, header-sized,
@@ -23,7 +23,7 @@ fn records() -> Vec<Vec<u8>> {
 /// segment image plus the cumulative frame-boundary offsets.
 fn committed_image() -> (Vec<u8>, Vec<usize>) {
     let store = DurableStore::new();
-    let log = DurableLog::open(store.clone(), "t", &Arc::new(Registry::new()), WalConfig::default());
+    let log = DurableLog::open(store.clone(), "t", &Arc::new(Registry::new()));
     let mut boundaries = vec![0usize];
     for r in records() {
         log.append_commit(&r);
@@ -54,12 +54,7 @@ fn truncation_at_every_byte_offset_replays_the_committed_prefix() {
         // Full log recovery over a device truncated at the same offset.
         let store = DurableStore::new();
         store.open("t-wal-00000000").set(&bytes[..cut]);
-        let log = DurableLog::open(
-            store.clone(),
-            "t",
-            &Arc::new(Registry::new()),
-            WalConfig::default(),
-        );
+        let log = DurableLog::open(store.clone(), "t", &Arc::new(Registry::new()));
         let r = log.replay_from(0);
         assert_eq!(r.records, all[..want].to_vec(), "cut={cut}");
         assert_eq!(r.torn_tails, u64::from(torn), "cut={cut}");

@@ -1,6 +1,13 @@
 //! The project metadata store: schema-validated inserts, WORM basic
 //! metadata, appended processing results, tags, secondary indexes, and an
 //! index-aware query executor with scan instrumentation.
+//!
+//! Every catalog mutation is one [`MetaWalRecord`] applied by
+//! `StoreState::apply`, the catalog's only state transition: a live
+//! method checks its preconditions, builds the record, logs it when the
+//! store is durable and applies it; recovery applies each replayed
+//! record, and checkpoint install applies the records that rebuild the
+//! snapshot. Events are emitted by the live methods only.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -74,6 +81,83 @@ struct StoreState {
     subscribers: Vec<Subscriber>,
 }
 
+impl StoreState {
+    /// An empty catalog with one field index per indexed schema field.
+    fn new(schema: &Schema, subscribers: Vec<Subscriber>) -> Self {
+        StoreState {
+            records: Vec::new(),
+            by_name: HashMap::new(),
+            field_indexes: schema
+                .indexed_fields()
+                .map(|f| (f.to_string(), FieldIndex::new()))
+                .collect(),
+            tag_index: TagIndex::new(),
+            subscribers,
+        }
+    }
+
+    /// Applies one record, keeping the name map and every secondary
+    /// index in step with the records; `false` when its effect is
+    /// already present (idempotent skip). Emits no events.
+    fn apply(&mut self, rec: MetaWalRecord) -> bool {
+        match rec {
+            MetaWalRecord::Insert { name, location, size_bytes, checksum_hex, basic } => {
+                if self.by_name.contains_key(&name) {
+                    return false;
+                }
+                let id = DatasetId(self.records.len() as u64);
+                for (field, idx) in self.field_indexes.iter_mut() {
+                    if let Some(v) = basic.get(field) {
+                        idx.insert(v, id);
+                    }
+                }
+                self.by_name.insert(name.clone(), id);
+                self.records.push(DatasetRecord {
+                    id,
+                    name,
+                    location,
+                    size_bytes,
+                    checksum_hex,
+                    basic,
+                    processing: Vec::new(),
+                    tags: Default::default(),
+                });
+                true
+            }
+            MetaWalRecord::Tag { id, tag } => {
+                let Some(rec) = self.records.get_mut(id.0 as usize) else {
+                    return false;
+                };
+                let added = rec.tags.insert(tag.clone());
+                if added {
+                    self.tag_index.insert(&tag, id);
+                }
+                added
+            }
+            MetaWalRecord::Untag { id, tag } => {
+                let Some(rec) = self.records.get_mut(id.0 as usize) else {
+                    return false;
+                };
+                let removed = rec.tags.remove(&tag);
+                if removed {
+                    self.tag_index.remove(&tag, id);
+                }
+                removed
+            }
+            MetaWalRecord::AppendProcessing { id, step, params, results, derived_keys, seq } => {
+                let Some(rec) = self.records.get_mut(id.0 as usize) else {
+                    return false;
+                };
+                if rec.processing.len() as u32 >= seq {
+                    return false;
+                }
+                rec.processing.push(ProcessingResult { step, params, results, derived_keys, seq });
+                true
+            }
+        }
+    }
+}
+
 /// A single project's metadata repository.
 pub struct ProjectStore {
     project: String,
@@ -97,20 +181,10 @@ impl ProjectStore {
     /// segments from a previous incarnation) is recovered before this
     /// returns.
     pub fn with_durability(schema: Schema, durability: Option<ComponentDurability>) -> Self {
-        let field_indexes = schema
-            .indexed_fields()
-            .map(|f| (f.to_string(), FieldIndex::new()))
-            .collect();
         let store = ProjectStore {
             project: schema.name.clone(),
+            state: OrderedRwLock::new(ranks::META_STATE, StoreState::new(&schema, Vec::new())),
             schema,
-            state: OrderedRwLock::new(ranks::META_STATE, StoreState {
-                records: Vec::new(),
-                by_name: HashMap::new(),
-                field_indexes,
-                tag_index: TagIndex::new(),
-                subscribers: Vec::new(),
-            }),
             scanned: AtomicU64::new(0),
             queries: AtomicU64::new(0),
             durability,
@@ -152,6 +226,15 @@ impl ProjectStore {
         }
     }
 
+    /// Commits one mutation: logs it when durable, then applies it.
+    /// Called under the state lock, so log order is apply order.
+    fn commit(&self, st: &mut StoreState, rec: MetaWalRecord) {
+        if let Some(d) = &self.durability {
+            d.log(&rec.encode());
+        }
+        st.apply(rec);
+    }
+
     /// Registers a dataset. Basic metadata is validated and becomes
     /// write-once.
     pub fn insert(&self, new: NewDataset) -> Result<DatasetId, MetadataError> {
@@ -161,35 +244,14 @@ impl ProjectStore {
             if st.by_name.contains_key(&new.name) {
                 return Err(MetadataError::DuplicateName(new.name));
             }
+            // Ids are dense insertion indexes, so the one `apply`
+            // assigns is the next slot, live and on replay alike.
             let id = DatasetId(st.records.len() as u64);
-            // Logged under the namespace lock so log order agrees with
-            // id-assignment order (ids are dense insertion indexes).
-            if let Some(d) = &self.durability {
-                let rec = MetaWalRecord::Insert {
-                    name: new.name.clone(),
-                    location: new.location.clone(),
-                    size_bytes: new.size_bytes,
-                    checksum_hex: new.checksum_hex.clone(),
-                    basic: new.basic.clone(),
-                };
-                d.log(&rec.encode());
-            }
-            for (field, idx) in st.field_indexes.iter_mut() {
-                if let Some(v) = new.basic.get(field) {
-                    idx.insert(v, id);
-                }
-            }
-            st.by_name.insert(new.name.clone(), id);
-            st.records.push(DatasetRecord {
-                id,
-                name: new.name,
-                location: new.location,
-                size_bytes: new.size_bytes,
-                checksum_hex: new.checksum_hex,
-                basic: new.basic,
-                processing: Vec::new(),
-                tags: Default::default(),
-            });
+            let NewDataset { name, location, size_bytes, checksum_hex, basic } = new;
+            self.commit(
+                &mut st,
+                MetaWalRecord::Insert { name, location, size_bytes, checksum_hex, basic },
+            );
             (id, st.subscribers.clone())
         };
         self.emit(
@@ -242,29 +304,13 @@ impl ProjectStore {
     ) -> Result<u32, MetadataError> {
         let (seq, subs) = {
             let mut st = self.state.write();
-            let rec = st
-                .records
-                .get_mut(id.0 as usize)
-                .ok_or(MetadataError::NotFound(id))?;
+            let rec = st.records.get(id.0 as usize).ok_or(MetadataError::NotFound(id))?;
             let seq = rec.processing.len() as u32 + 1;
-            if let Some(d) = &self.durability {
-                let log_rec = MetaWalRecord::AppendProcessing {
-                    id,
-                    step: step.to_string(),
-                    params: params.clone(),
-                    results: results.clone(),
-                    derived_keys: derived_keys.clone(),
-                    seq,
-                };
-                d.log(&log_rec.encode());
-            }
-            rec.processing.push(ProcessingResult {
-                step: step.to_string(),
-                params,
-                results,
-                derived_keys,
-                seq,
-            });
+            let step = step.to_string();
+            self.commit(
+                &mut st,
+                MetaWalRecord::AppendProcessing { id, step, params, results, derived_keys, seq },
+            );
             (seq, st.subscribers.clone())
         };
         self.emit(
@@ -283,16 +329,11 @@ impl ProjectStore {
     pub fn tag(&self, id: DatasetId, tag: &str) -> Result<(), MetadataError> {
         let (added, subs) = {
             let mut st = self.state.write();
-            let rec = st
-                .records
-                .get_mut(id.0 as usize)
-                .ok_or(MetadataError::NotFound(id))?;
-            let added = rec.tags.insert(tag.to_string());
+            let rec = st.records.get(id.0 as usize).ok_or(MetadataError::NotFound(id))?;
+            // A repeat tag is a no-op: nothing is logged.
+            let added = !rec.tags.contains(tag);
             if added {
-                if let Some(d) = &self.durability {
-                    d.log(&MetaWalRecord::Tag { id, tag: tag.to_string() }.encode());
-                }
-                st.tag_index.insert(tag, id);
+                self.commit(&mut st, MetaWalRecord::Tag { id, tag: tag.to_string() });
             }
             (added, st.subscribers.clone())
         };
@@ -313,16 +354,10 @@ impl ProjectStore {
     pub fn untag(&self, id: DatasetId, tag: &str) -> Result<(), MetadataError> {
         let (removed, subs) = {
             let mut st = self.state.write();
-            let rec = st
-                .records
-                .get_mut(id.0 as usize)
-                .ok_or(MetadataError::NotFound(id))?;
-            let removed = rec.tags.remove(tag);
+            let rec = st.records.get(id.0 as usize).ok_or(MetadataError::NotFound(id))?;
+            let removed = rec.tags.contains(tag);
             if removed {
-                if let Some(d) = &self.durability {
-                    d.log(&MetaWalRecord::Untag { id, tag: tag.to_string() }.encode());
-                }
-                st.tag_index.remove(tag, id);
+                self.commit(&mut st, MetaWalRecord::Untag { id, tag: tag.to_string() });
             }
             (removed, st.subscribers.clone())
         };
@@ -506,13 +541,13 @@ impl ProjectStore {
         if let Some(d) = &self.durability {
             d.crash_torn(seed);
         }
-        let mut st = self.state.write();
-        st.records.clear();
-        st.by_name.clear();
-        for idx in st.field_indexes.values_mut() {
-            *idx = FieldIndex::new();
-        }
-        st.tag_index = TagIndex::new();
+        self.reset(&mut self.state.write());
+    }
+
+    /// Replaces the catalog with an empty one, keeping the subscribers.
+    fn reset(&self, st: &mut StoreState) {
+        let subscribers = std::mem::take(&mut st.subscribers);
+        *st = StoreState::new(&self.schema, subscribers);
     }
 
     /// Rebuilds the catalog from the durable store: installs the latest
@@ -530,92 +565,37 @@ impl ProjectStore {
                 self.install_snapshot(snap);
                 true
             },
-            |payload| MetaWalRecord::decode(payload).is_some_and(|rec| self.apply_record(rec)),
+            |payload| {
+                MetaWalRecord::decode(payload).is_some_and(|rec| self.state.write().apply(rec))
+            },
         )
     }
 
-    /// Installs a checkpoint snapshot, rebuilding every derived
-    /// structure (name map, field indexes, tag index) from the records.
+    /// Installs a checkpoint snapshot over an empty catalog by applying,
+    /// for each record in id order, its `Insert`, then each `Tag`, then
+    /// each `AppendProcessing`: the derived structures are built by the
+    /// same transition the live path uses.
     fn install_snapshot(&self, snap: MetaSnapshot) {
         let mut st = self.state.write();
-        st.by_name.clear();
-        for idx in st.field_indexes.values_mut() {
-            *idx = FieldIndex::new();
-        }
-        st.tag_index = TagIndex::new();
-        st.records = snap.records;
-        let StoreState { records, by_name, field_indexes, tag_index, .. } = &mut *st;
-        for r in records.iter() {
-            by_name.insert(r.name.clone(), r.id);
-            for (field, idx) in field_indexes.iter_mut() {
-                if let Some(v) = r.basic.get(field) {
-                    idx.insert(v, r.id);
-                }
+        self.reset(&mut st);
+        for r in snap.records {
+            let DatasetRecord {
+                id, name, location, size_bytes, checksum_hex, basic, processing, tags,
+            } = r;
+            st.apply(MetaWalRecord::Insert { name, location, size_bytes, checksum_hex, basic });
+            for tag in tags {
+                st.apply(MetaWalRecord::Tag { id, tag });
             }
-            for t in &r.tags {
-                tag_index.insert(t, r.id);
-            }
-        }
-    }
-
-    /// Applies one replayed WAL record; `false` when its effect is
-    /// already present (idempotent skip). Replay emits no events: the
-    /// recovered catalog is a reconstruction, not new activity.
-    fn apply_record(&self, rec: MetaWalRecord) -> bool {
-        let mut st = self.state.write();
-        match rec {
-            MetaWalRecord::Insert { name, location, size_bytes, checksum_hex, basic } => {
-                if st.by_name.contains_key(&name) {
-                    return false;
-                }
-                let id = DatasetId(st.records.len() as u64);
-                for (field, idx) in st.field_indexes.iter_mut() {
-                    if let Some(v) = basic.get(field) {
-                        idx.insert(v, id);
-                    }
-                }
-                st.by_name.insert(name.clone(), id);
-                st.records.push(DatasetRecord {
+            for p in processing {
+                let ProcessingResult { step, params, results, derived_keys, seq } = p;
+                st.apply(MetaWalRecord::AppendProcessing {
                     id,
-                    name,
-                    location,
-                    size_bytes,
-                    checksum_hex,
-                    basic,
-                    processing: Vec::new(),
-                    tags: Default::default(),
+                    step,
+                    params,
+                    results,
+                    derived_keys,
+                    seq,
                 });
-                true
-            }
-            MetaWalRecord::Tag { id, tag } => {
-                let Some(rec) = st.records.get_mut(id.0 as usize) else {
-                    return false;
-                };
-                let added = rec.tags.insert(tag.clone());
-                if added {
-                    st.tag_index.insert(&tag, id);
-                }
-                added
-            }
-            MetaWalRecord::Untag { id, tag } => {
-                let Some(rec) = st.records.get_mut(id.0 as usize) else {
-                    return false;
-                };
-                let removed = rec.tags.remove(&tag);
-                if removed {
-                    st.tag_index.remove(&tag, id);
-                }
-                removed
-            }
-            MetaWalRecord::AppendProcessing { id, step, params, results, derived_keys, seq } => {
-                let Some(rec) = st.records.get_mut(id.0 as usize) else {
-                    return false;
-                };
-                if rec.processing.len() as u32 >= seq {
-                    return false;
-                }
-                rec.processing.push(ProcessingResult { step, params, results, derived_keys, seq });
-                true
             }
         }
     }
@@ -825,10 +805,7 @@ mod tests {
         checkpoint_every: u64,
     ) -> ProjectStore {
         let reg = Arc::new(lsdf_obs::Registry::new());
-        let cfg = lsdf_durability::DurabilityConfig {
-            checkpoint_every,
-            ..lsdf_durability::DurabilityConfig::default()
-        };
+        let cfg = lsdf_durability::DurabilityConfig { checkpoint_every };
         ProjectStore::with_durability(
             zebrafish_schema(),
             Some(lsdf_durability::ComponentDurability::open(

@@ -5,8 +5,12 @@
 //! [`lsdf_durability::DurableLog`]; checkpoints serialize the full
 //! record vector with the canonical [`lsdf_durability::codec`] so that
 //! replaying WAL over the latest checkpoint reconstructs a bit-identical
-//! catalog. Secondary structures (name map, field indexes, tag index)
-//! are derived state and are rebuilt from the records on install.
+//! catalog. A record is also the live mutation: the store builds it,
+//! logs it and applies it through the one transition replay uses, and
+//! checkpoint install rebuilds the snapshot by applying each record's
+//! `Insert`, `Tag`s and `AppendProcessing`s, so the secondary
+//! structures (name map, field indexes, tag index) are always derived
+//! by that same transition.
 //!
 //! Replay is idempotent: an `Insert` whose name is already registered,
 //! a `Tag`/`Untag` whose effect is present, or an `AppendProcessing`

@@ -1,13 +1,16 @@
 //! Property tests: index-assisted queries always agree with full scans,
-//! WORM holds, and unified/federated organisations return identical hits.
+//! WORM holds, unified/federated organisations return identical hits,
+//! and crash recovery rebuilds the live catalog.
 
 use std::sync::Arc;
 
 use lsdf_metadata::query::{eq, ge, has_tag, lt};
+use lsdf_durability::{ComponentDurability, DurabilityConfig, DurableStore};
 use lsdf_metadata::{
-    dataset, CrossQuery, Document, Federation, FieldType, Predicate, ProjectStore, SchemaBuilder,
-    UnifiedCatalog, Value,
+    dataset, CrossQuery, DatasetId, Document, Federation, FieldType, Predicate, ProjectStore,
+    SchemaBuilder, UnifiedCatalog, Value,
 };
+use lsdf_obs::Registry;
 use proptest::prelude::*;
 
 fn schema(name: &str) -> lsdf_metadata::Schema {
@@ -157,5 +160,59 @@ proptest! {
             prop_assert!(res.is_err());
         }
         prop_assert_eq!(store.get(id).unwrap().basic, before);
+    }
+
+    /// Replay rebuilds what the live path built: after any mix of
+    /// inserts (duplicate names and schema-invalid documents included),
+    /// tags and untags (repeats and unknown ids included), processing
+    /// appends and checkpoints, a crash plus recovery yields the live
+    /// catalog — records, name map, field and tag indexes alike.
+    #[test]
+    fn replay_rebuilds_the_live_catalog(
+        ops in prop::collection::vec((0u8..7, 0u64..12, 0usize..3), 1..80),
+        seed in any::<u64>(),
+    ) {
+        let disk = DurableStore::new();
+        let reg = Arc::new(Registry::new());
+        let durability = ComponentDurability::open(
+            &disk,
+            "meta-t",
+            &reg,
+            &DurabilityConfig { checkpoint_every: 1_000 },
+        );
+        let store = ProjectStore::with_durability(schema("t"), Some(durability));
+        let tags = ["raw", "qa-passed", "archived"];
+        for (op, a, b) in ops {
+            let id = DatasetId(a);
+            // Ops report their precondition failures as errors; the
+            // property is about state, so outcomes are ignored.
+            let _ = match op {
+                0 | 1 => store
+                    .insert(dataset(&format!("r{a}"), a, doc(b as i64, a as f64, "main")))
+                    .map(|_| ()),
+                2 => store.insert(dataset(&format!("bad{a}"), 1, Document::new())).map(|_| ()),
+                3 => store.tag(id, tags[b]),
+                4 => store.untag(id, tags[b]),
+                5 => {
+                    let params = doc(b as i64, 0.5, "veto");
+                    let keys = vec![format!("k{a}")];
+                    store.append_processing(id, "seg", params, Document::new(), keys).map(|_| ())
+                }
+                _ => {
+                    store.checkpoint();
+                    Ok(())
+                }
+            };
+        }
+        let digest = store.catalog_digest();
+        let all = store.all();
+        let by_run = store.query(&eq("run", 1i64));
+        let by_tag = store.query(&has_tag("raw"));
+        store.crash(seed);
+        store.recover();
+        prop_assert_eq!(store.catalog_digest(), digest);
+        prop_assert_eq!(store.all(), all);
+        prop_assert_eq!(store.query(&eq("run", 1i64)), by_run);
+        prop_assert_eq!(store.query(&has_tag("raw")), by_tag);
     }
 }

@@ -277,7 +277,8 @@ pub const ADMISSION_GOVERNOR_LOG_EVENT: &str = "admission_governor";
 pub const WAL_APPENDS_TOTAL: &str = "wal_appends_total";
 /// Framed record sizes written to the WAL.
 pub const WAL_APPEND_BYTES: &str = "wal_append_bytes";
-/// Accounted device fsyncs (one per `group_commit` records).
+/// Accounted device fsyncs (one per `GROUP_COMMIT` records, or one per
+/// batch append).
 pub const WAL_FSYNCS_TOTAL: &str = "wal_fsyncs_total";
 /// Modeled latency charged per accounted fsync.
 pub const WAL_FSYNC_LATENCY_NS: &str = "wal_fsync_latency_ns";

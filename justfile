@@ -1,8 +1,9 @@
 # Workspace task runner. `just check` is the gate a PR must pass.
 
-# Build, test, lint (clippy + lsdf-lint) the whole workspace, then build
-# and test perfbench, which drives the facility's staged-put, restart
-# and worker-pool API from outside the workspace.
+# Build, test, lint (clippy + lsdf-lint) the whole workspace, build and
+# test perfbench, which drives the facility's staged-put, restart and
+# worker-pool API from outside the workspace, then run the worker-count
+# witness.
 check:
     cargo build --release
     cargo test -q
@@ -10,6 +11,27 @@ check:
     cargo run --release -p lsdf-lint
     cargo build --release --offline --manifest-path perfbench/Cargo.toml
     cargo test -q --offline --manifest-path perfbench/Cargo.toml
+    just witness
+
+# Worker-count witness: the seeded chaos demo must write byte-identical
+# stdout and artifacts (chrome trace, facility health, operator report,
+# collapsed span profile) at 1, 4 and 8 workers. Copies land under
+# target/witness/<workers>/.
+witness:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    cargo build --release -p lsdf-examples --bin chaos_run
+    files="chaos-trace.json facility-health.json operator-report.txt chaos-collapsed.txt"
+    rm -rf target/witness
+    for w in 1 4 8; do
+        mkdir -p "target/witness/$w"
+        LSDF_WORKERS=$w target/release/chaos_run 42 > "target/witness/$w/stdout.txt"
+        for f in $files; do cp "target/$f" "target/witness/$w/"; done
+    done
+    for w in 4 8; do
+        for f in stdout.txt $files; do cmp "target/witness/1/$f" "target/witness/$w/$f"; done
+    done
+    echo "witness: chaos_run 42 byte-identical at 1, 4 and 8 workers"
 
 # Fast compile-only feedback.
 build:

@@ -69,10 +69,7 @@ fn facility(reg: Arc<Registry>, disk: DurableStore, workers: usize) -> Facility 
         )
         .durability(
             disk,
-            DurabilityConfig {
-                checkpoint_every: 192,
-                ..DurabilityConfig::default()
-            },
+            DurabilityConfig { checkpoint_every: 192 },
         )
         .registry(reg)
         .workers(workers)
@@ -222,7 +219,7 @@ fn run_soak_with(seed: u64, workers: usize) -> (String, Vec<RecoveryReport>) {
     verify_acked(&f, &model, "at end of soak");
     // Batched WAL group commit: every N-file batch commit on the
     // namenode WAL shares ONE accounted fsync. The per-record path
-    // charges one fsync per `group_commit` (default 8) records, so the
+    // charges one fsync per `GROUP_COMMIT` (8) records, so the
     // batched path must beat that floor outright across the soak.
     let appends = reg.counter_value(names::WAL_APPENDS_TOTAL, &[("log", "dfs")]);
     let fsyncs = reg.counter_value(names::WAL_FSYNCS_TOTAL, &[("log", "dfs")]);
